@@ -66,13 +66,16 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseRelation -fuzztime=30s ./cmd/darminer
 	$(GO) test -run='^$$' -fuzz=FuzzReadCSV -fuzztime=30s ./internal/relation
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=30s ./internal/summary
+	$(GO) test -run='^$$' -fuzz=FuzzPlanShards -fuzztime=30s ./internal/cluster
 
 # A short .acfsum decoder fuzz under the race detector, cheap enough to
 # gate every CI run: Decode must never panic on hostile bytes, and
-# whatever it accepts must re-encode canonically.
+# whatever it accepts must re-encode canonically. The shard-plan fuzz
+# checks that darc's byte-range shards parse back to the body's rows.
 fuzzsmoke:
 	$(GO) test -race -run='^$$' -fuzz=FuzzDecode -fuzztime=10s ./internal/summary
 	$(GO) test -race -run='^$$' -fuzz=FuzzQueryOptions -fuzztime=10s ./internal/core
+	$(GO) test -race -run='^$$' -fuzz=FuzzPlanShards -fuzztime=10s ./internal/cluster
 
 # The query-mode differential suite under the race detector: fused
 # engine output (measures, filters, sweeps, top-k, diffs) must equal

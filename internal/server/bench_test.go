@@ -64,11 +64,11 @@ func BenchmarkServerQuery(b *testing.B) {
 // uncontended fast path.
 func BenchmarkSingleflight(b *testing.B) {
 	var g flightGroup
-	payload := []byte("result")
+	payload := flightValue{body: []byte("result"), version: 1}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		key := fmt.Sprintf("k%d", i&7)
-		if _, _, err := g.Do(key, func() ([]byte, error) { return payload, nil }); err != nil {
+		if _, _, err := g.Do(key, func() (flightValue, error) { return payload, nil }); err != nil {
 			b.Fatal(err)
 		}
 	}

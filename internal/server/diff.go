@@ -123,29 +123,27 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 // cache entry is written under the versions actually loaded, so a body
 // is always the product of the versions in its key.
 func (s *Server) runDiffFlight(key, oldName, newName string, q core.QueryOptions) ([]byte, uint64, uint64, bool, error) {
-	var oldVersion, newVersion uint64
-	body, shared, err := s.flights.Do(key, func() ([]byte, error) {
+	val, shared, err := s.flights.Do(key, func() (flightValue, error) {
 		if h := s.testHookExec.Load(); h != nil {
 			(*h)()
 		}
 		oldSum, v1, err := s.catalog.get(oldName)
 		if err != nil {
-			return nil, err
+			return flightValue{}, err
 		}
 		newSum, v2, err := s.catalog.get(newName)
 		if err != nil {
-			return nil, err
+			return flightValue{}, err
 		}
-		oldVersion, newVersion = v1, v2
 		s.metrics.QueryExecutions.Add(1)
 		rendered, err := renderDiff(oldSum, newSum, q)
 		if err != nil {
-			return nil, err
+			return flightValue{}, err
 		}
 		s.cache.put(diffCacheKey(oldName, v1, newName, v2, q.CanonicalKey()), rendered)
-		return rendered, nil
+		return flightValue{body: rendered, version: v1, newVersion: v2}, nil
 	})
-	return body, oldVersion, newVersion, shared, err
+	return val.body, val.version, val.newVersion, shared, err
 }
 
 // renderDiff queries both summaries under the same options and renders

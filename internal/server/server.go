@@ -501,25 +501,23 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // may land between the handler's probe and the load), so a cached body
 // is always the product of the version in its key.
 func (s *Server) runQueryFlight(key, name string, q core.QueryOptions) ([]byte, uint64, bool, error) {
-	var version uint64
-	body, shared, err := s.flights.Do(key, func() ([]byte, error) {
+	val, shared, err := s.flights.Do(key, func() (flightValue, error) {
 		if h := s.testHookExec.Load(); h != nil {
 			(*h)()
 		}
 		sum, v, err := s.catalog.get(name)
 		if err != nil {
-			return nil, err
+			return flightValue{}, err
 		}
-		version = v
 		s.metrics.QueryExecutions.Add(1)
 		rendered, err := renderQuery(sum, q)
 		if err != nil {
-			return nil, err
+			return flightValue{}, err
 		}
 		s.cache.put(cacheKey(name, v, q.CanonicalKey()), rendered)
-		return rendered, nil
+		return flightValue{body: rendered, version: v}, nil
 	})
-	return body, version, shared, err
+	return val.body, val.version, shared, err
 }
 
 // renderQuery runs the pure Phase II engine over the summary and

@@ -332,74 +332,107 @@ func encodeShard(t *testing.T, csv []byte, groups string) []byte {
 	return b
 }
 
-// TestSingleflightCollapsesIdenticalQueries holds a query execution
-// open until seven more identical requests have joined the flight, then
-// releases it: exactly one execution serves all eight responses.
+// TestSingleflightCollapsesIdenticalQueries holds an execution open
+// until seven more identical requests have joined the flight, then
+// releases it: exactly one execution serves all eight responses, and
+// every response names the catalog versions its body was rendered
+// from, whether it ran the flight or joined it — for a query and for a
+// diff, which share the flight machinery.
 func TestSingleflightCollapsesIdenticalQueries(t *testing.T) {
-	srv, ts := newTestServer(t, Config{})
-	postIngest(t, ts, "s", "", salaryCSV(t))
+	opts := core.DefaultQueryOptions().CanonicalKey()
+	for _, tc := range []struct {
+		name, path string
+		key        string
+		versions   map[string]string // response header → catalog version
+	}{
+		{"query", "/v1/summaries/s/query", cacheKey("s", 1, opts),
+			map[string]string{"X-Dard-Summary-Version": "1"}},
+		{"diff", "/v1/summaries/s/diff/t", diffCacheKey("s", 1, "t", 2, opts),
+			map[string]string{"X-Dard-Summary-Version": "1", "X-Dard-Other-Version": "2"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, ts := newTestServer(t, Config{})
+			csv := salaryCSV(t)
+			postIngest(t, ts, "s", "", csv)
+			postIngest(t, ts, "t", "", csv)
+			postIngest(t, ts, "t", "", csv)
+			if vs, _ := srv.catalog.version("s"); vs != 1 {
+				t.Fatalf("version of s = %d, want 1", vs)
+			}
+			if vt, _ := srv.catalog.version("t"); vt != 2 {
+				t.Fatalf("version of t = %d, want 2", vt)
+			}
 
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	var once bool
-	hook := func() {
-		if !once {
-			once = true
-			close(entered)
-		}
-		<-release
-	}
-	srv.testHookExec.Store(&hook)
-	version, ok := srv.catalog.version("s")
-	if !ok {
-		t.Fatal("summary vanished")
-	}
-	key := cacheKey("s", version, core.DefaultQueryOptions().CanonicalKey())
+			entered := make(chan struct{})
+			release := make(chan struct{})
+			var once bool
+			hook := func() {
+				if !once {
+					once = true
+					close(entered)
+				}
+				<-release
+			}
+			srv.testHookExec.Store(&hook)
 
-	const clients = 8
-	type result struct {
-		status int
-		body   []byte
-	}
-	results := make(chan result, clients)
-	for i := 0; i < clients; i++ {
-		go func() {
-			resp, b := postQueryQuiet(ts, "s", "{}")
-			results <- result{resp, b}
-		}()
-	}
-	<-entered
-	deadline := time.Now().Add(10 * time.Second)
-	for srv.flights.pending(key) < clients-1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d clients joined the flight", srv.flights.pending(key), clients-1)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
+			const clients = 8
+			type result struct {
+				status int
+				header http.Header
+				body   []byte
+			}
+			results := make(chan result, clients)
+			for i := 0; i < clients; i++ {
+				go func() {
+					resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader("{}"))
+					if err != nil {
+						results <- result{body: []byte(err.Error())}
+						return
+					}
+					defer resp.Body.Close()
+					b, _ := io.ReadAll(resp.Body)
+					results <- result{resp.StatusCode, resp.Header, b}
+				}()
+			}
+			<-entered
+			deadline := time.Now().Add(10 * time.Second)
+			for srv.flights.pending(tc.key) < clients-1 {
+				if time.Now().After(deadline) {
+					t.Fatalf("only %d of %d clients joined the flight", srv.flights.pending(tc.key), clients-1)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			close(release)
 
-	var bodies [][]byte
-	for i := 0; i < clients; i++ {
-		r := <-results
-		if r.status != http.StatusOK {
-			t.Fatalf("client got status %d: %s", r.status, r.body)
-		}
-		bodies = append(bodies, r.body)
-	}
-	for i := 1; i < clients; i++ {
-		if !bytes.Equal(bodies[0], bodies[i]) {
-			t.Errorf("client %d received different bytes", i)
-		}
-	}
-	m := srv.Metrics()
-	if got := m.QueryExecutions.Load(); got != 1 {
-		t.Errorf("QueryExecutions = %d, want 1", got)
-	}
-	if got := m.QueryShared.Load(); got != clients-1 {
-		t.Errorf("QueryShared = %d, want %d", got, clients-1)
-	}
-	if got := m.QueryCacheMisses.Load(); got != clients {
-		t.Errorf("QueryCacheMisses = %d, want %d", got, clients)
+			var bodies [][]byte
+			for i := 0; i < clients; i++ {
+				r := <-results
+				if r.status != http.StatusOK {
+					t.Fatalf("client got status %d: %s", r.status, r.body)
+				}
+				for h, want := range tc.versions {
+					if got := r.header.Get(h); got != want {
+						t.Errorf("client got %s %q, want %q", h, got, want)
+					}
+				}
+				bodies = append(bodies, r.body)
+			}
+			for i := 1; i < clients; i++ {
+				if !bytes.Equal(bodies[0], bodies[i]) {
+					t.Errorf("client %d received different bytes", i)
+				}
+			}
+			m := srv.Metrics()
+			if got := m.QueryExecutions.Load(); got != 1 {
+				t.Errorf("QueryExecutions = %d, want 1", got)
+			}
+			if got := m.QueryShared.Load(); got != clients-1 {
+				t.Errorf("QueryShared = %d, want %d", got, clients-1)
+			}
+			if got := m.QueryCacheMisses.Load(); got != clients {
+				t.Errorf("QueryCacheMisses = %d, want %d", got, clients)
+			}
+		})
 	}
 }
 
@@ -435,10 +468,13 @@ func TestQueryTimeout(t *testing.T) {
 
 	close(release)
 	srv.testHookExec.Store(nil)
+	// Wait for the result to land in the cache, not for the execution
+	// count: that counts an execution as it starts, so a follow-up sent
+	// on it can still join the running flight and read "shared".
 	deadline := time.Now().Add(10 * time.Second)
-	for srv.Metrics().QueryExecutions.Load() == 0 {
+	for n, _ := srv.cache.stats(); n == 0; n, _ = srv.cache.stats() {
 		if time.Now().After(deadline) {
-			t.Fatal("abandoned flight never completed")
+			t.Fatal("abandoned flight never cached its result")
 		}
 		time.Sleep(time.Millisecond)
 	}

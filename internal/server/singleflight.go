@@ -7,13 +7,22 @@ import "sync"
 // execution is in flight blocks on the same call and shares its result.
 // It is a minimal analogue of x/sync/singleflight (not vendored here;
 // the repo builds offline) specialized to the query path's
-// ([]byte, error) results. Request timeouts are enforced a layer above
-// (the handler races Do against the request context), so an abandoned
-// flight keeps running and its result still lands in the cache for
-// future requests.
+// (flightValue, error) results. Request timeouts are enforced a layer
+// above (the handler races Do against the request context), so an
+// abandoned flight keeps running and its result still lands in the
+// cache for future requests.
 type flightGroup struct {
 	mu sync.Mutex
 	m  map[string]*flightCall
+}
+
+// flightValue is what one execution hands every caller of its flight:
+// the rendered body and the catalog versions it was rendered from, so
+// a waiter's response names the same versions as the executor's.
+type flightValue struct {
+	body       []byte
+	version    uint64 // the queried summary's version; a diff's old one
+	newVersion uint64 // a diff's new summary's version
 }
 
 // flightCall is one in-flight execution. done is closed exactly once,
@@ -21,7 +30,7 @@ type flightGroup struct {
 type flightCall struct {
 	done    chan struct{}
 	waiters int
-	val     []byte
+	val     flightValue
 	err     error
 }
 
@@ -43,7 +52,7 @@ func (g *flightGroup) pending(key string) int {
 // execution started by another (false for the executor itself; callers
 // that arrive after the flight lands start a fresh one — result reuse
 // across completed flights is the result cache's job, not this type's).
-func (g *flightGroup) Do(key string, fn func() ([]byte, error)) (val []byte, shared bool, err error) {
+func (g *flightGroup) Do(key string, fn func() (flightValue, error)) (val flightValue, shared bool, err error) {
 	g.mu.Lock()
 	if g.m == nil {
 		g.m = make(map[string]*flightCall)
