@@ -18,7 +18,7 @@
 GO ?= go
 BIN := bin
 
-.PHONY: build test race fuzz fuzzsmoke querydiff bench benchjson benchgate fmtcheck vet lint lintjson lintbudget darlint serversmoke storagesmoke clustersmoke crashsuite verify
+.PHONY: build test race fuzz fuzzsmoke querydiff perfbenchtest bench benchjson benchgate fmtcheck vet lint lintjson lintbudget darlint serversmoke storagesmoke clustersmoke crashsuite verify
 
 build:
 	$(GO) build ./...
@@ -67,15 +67,18 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadCSV -fuzztime=30s ./internal/relation
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=30s ./internal/summary
 	$(GO) test -run='^$$' -fuzz=FuzzPlanShards -fuzztime=30s ./internal/cluster
+	$(GO) test -run='^$$' -fuzz=FuzzRefine -fuzztime=30s ./internal/cftree
 
 # A short .acfsum decoder fuzz under the race detector, cheap enough to
 # gate every CI run: Decode must never panic on hostile bytes, and
 # whatever it accepts must re-encode canonically. The shard-plan fuzz
-# checks that darc's byte-range shards parse back to the body's rows.
+# checks that darc's byte-range shards parse back to the body's rows;
+# the refinement fuzz pins cftree.Refine to its full-rescan reference.
 fuzzsmoke:
 	$(GO) test -race -run='^$$' -fuzz=FuzzDecode -fuzztime=10s ./internal/summary
 	$(GO) test -race -run='^$$' -fuzz=FuzzQueryOptions -fuzztime=10s ./internal/core
 	$(GO) test -race -run='^$$' -fuzz=FuzzPlanShards -fuzztime=10s ./internal/cluster
+	$(GO) test -race -run='^$$' -fuzz=FuzzRefine -fuzztime=10s ./internal/cftree
 
 # The query-mode differential suite under the race detector: fused
 # engine output (measures, filters, sweeps, top-k, diffs) must equal
@@ -86,6 +89,12 @@ querydiff:
 	$(GO) test -race -run 'TestQueryModes|TestMeasure|TestConviction|TestDiffRules' ./internal/core
 	$(GO) test -race -run 'TestQueryMode|TestServedDiff|TestModeCache|TestDiffCache|TestDiffMetrics' ./internal/server
 	$(GO) test -race -run 'TestGoldenQuery|TestOldSummary|TestDiffCLI|TestRemoteDiff' ./cmd/darminer
+
+# perfbench's own tests (a separate module): its output checks answer
+# a sample of query_mix's documents through a live dard and compare
+# them with the in-process reference, so they run against every change.
+perfbenchtest:
+	cd perfbench && $(GO) test -short ./...
 
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem .
@@ -148,4 +157,4 @@ crashsuite:
 # live in the ordinary test suite), so verify gates Query(Ingest(r)) ≡
 # Mine(r) under the race detector on every run, and storagesmoke gates
 # the durability story over the real binaries.
-verify: build fmtcheck vet lint lintbudget test race fuzzsmoke querydiff storagesmoke
+verify: build fmtcheck vet lint lintbudget test race fuzzsmoke querydiff perfbenchtest storagesmoke

@@ -314,21 +314,43 @@ func BenchmarkCliqueEnumeration(b *testing.B) {
 	}
 }
 
-// BenchmarkRefine measures the E12 global refinement pass on one tree's
-// worth of fragmented leaf clusters.
+// BenchmarkRefine measures the E12 global refinement pass. "tree" is
+// one tree's worth of fragmented leaf clusters (40 leaves, refined to
+// 35). "shards" concatenates the leaves of four trees built over
+// disjoint quarters of the same stream, the regime of a multi-shard
+// summary merge: each shard keeps its own fragments of every natural
+// cluster, so about 90 leaves refine to 20.
 func BenchmarkRefine(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	tr := cftree.New(cf.Shape{1, 1}, 0, cftree.Config{Threshold: 2})
-	proj := [][]float64{{0}, {0}}
-	for i := 0; i < 20000; i++ {
-		proj[0][0] = float64(rng.Intn(35))*10 + rng.NormFloat64()*0.5
-		proj[1][0] = proj[0][0]
-		tr.Insert(proj)
+	leavesOf := func(seed int64, trees, clusters, points int) []*cf.ACF {
+		rng := rand.New(rand.NewSource(seed))
+		proj := [][]float64{{0}, {0}}
+		var leaves []*cf.ACF
+		for t := 0; t < trees; t++ {
+			tr := cftree.New(cf.Shape{1, 1}, 0, cftree.Config{Threshold: 2})
+			for i := 0; i < points; i++ {
+				proj[0][0] = float64(rng.Intn(clusters))*10 + rng.NormFloat64()*0.5
+				proj[1][0] = proj[0][0]
+				tr.Insert(proj)
+			}
+			leaves = append(leaves, tr.Leaves()...)
+		}
+		return leaves
 	}
-	leaves := tr.Leaves()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cftree.Refine(leaves, 2)
+	for _, bc := range []struct {
+		name   string
+		leaves []*cf.ACF
+	}{
+		{"tree", leavesOf(4, 1, 35, 20000)},
+		{"shards", leavesOf(4, 4, 20, 5000)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportMetric(float64(len(bc.leaves)), "leaves")
+			b.ReportMetric(float64(len(cftree.Refine(bc.leaves, 2))), "refined")
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cftree.Refine(bc.leaves, 2)
+			}
+		})
 	}
 }
 

@@ -10,6 +10,7 @@
 package cftree
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -19,6 +20,11 @@ import (
 )
 
 const inf = math.MaxFloat64
+
+// ErrOverflow reports cluster sums that overflowed float64. SS grows as
+// N·v², so magnitudes from about 1e154 up turn it +Inf, and every
+// distance and diameter computed from such sums is +Inf or NaN.
+var ErrOverflow = errors.New("cftree: cluster sums overflow float64")
 
 // Config controls one ACF-tree.
 type Config struct {
@@ -116,6 +122,11 @@ type Tree struct {
 	rowScratch []float64  // reusable flat projection row for Insert
 	path       []pathStep // reusable descent stack for insertTop
 	lastEntry  *cf.ACF    // leaf entry the latest payload landed in
+
+	// err is set when a descent finds no child to follow: every
+	// distance there is +Inf or NaN. The tree then takes no more
+	// payloads, and Err and Finish report it.
+	err error
 }
 
 // pathStep records one internal node of the descent and the child index
@@ -160,6 +171,9 @@ func New(shape cf.Shape, own int, cfg Config) *Tree {
 	t.bytes = t.nodeBytes
 	return t
 }
+
+// Err returns the error that stopped the tree, or nil.
+func (t *Tree) Err() error { return t.err }
 
 // Own returns the index of the attribute group the tree clusters on.
 func (t *Tree) Own() int { return t.own }
@@ -275,6 +289,9 @@ func (t *Tree) InsertFlatBatch(rows []float64, n, stride int) {
 			ownOnly: true,
 		}
 		t.insertTop(&pl)
+		if t.err != nil {
+			return
+		}
 		t.seen++
 		if e := t.lastEntry; e != run {
 			if run != nil {
@@ -321,12 +338,21 @@ func (t *Tree) insertACF(a *cf.ACF) {
 // a reusable stack, then patches centroid caches and propagates splits
 // back up. No allocation in the steady state.
 func (t *Tree) insertTop(pl *payload) {
+	if t.err != nil {
+		return
+	}
 	nd := t.root
 	t.path = t.path[:0]
 	for !nd.leaf {
 		addSummary(nd.summary, pl.own)
 		t.work += int64(len(nd.children)) * int64(t.dims)
 		i, _ := nd.closestChild(pl.p)
+		if i < 0 {
+			// Every child centroid is +Inf or NaN away: the sums
+			// overflowed. Stop rather than index child -1.
+			t.err = fmt.Errorf("%w: no subtree at a finite distance from a tuple", ErrOverflow)
+			return
+		}
 		t.path = append(t.path, pathStep{nd, i})
 		nd = nd.children[i]
 	}
@@ -574,6 +600,9 @@ func (t *Tree) nextThreshold() float64 {
 // into the complete tree") and returns every leaf cluster. After Finish
 // the tree remains usable for NearestCluster queries.
 func (t *Tree) Finish() ([]*cf.ACF, error) {
+	if t.err != nil {
+		return nil, t.err
+	}
 	if t.cfg.Outliers != nil && t.cfg.Outliers.Len() > 0 {
 		acfs, err := t.cfg.Outliers.Drain()
 		if err != nil {

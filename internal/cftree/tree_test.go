@@ -1,6 +1,7 @@
 package cftree
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -331,5 +332,24 @@ func TestStatsSnapshot(t *testing.T) {
 	}
 	if tr.Own() != 0 {
 		t.Errorf("Own = %d", tr.Own())
+	}
+}
+
+// A descent that finds every child centroid +Inf or NaN away (the sums
+// overflowed) stops the tree with ErrOverflow instead of indexing child
+// -1, and Finish reports it.
+func TestInsertOverflowStopsTree(t *testing.T) {
+	tr := New(cf.Shape{1}, 0, Config{Threshold: 0.1})
+	for i := 0; i < 40; i++ {
+		tr.Insert(proj1d(1e160))
+	}
+	for i := 0; i < 100; i++ {
+		tr.Insert(proj1d(float64(i % 50)))
+	}
+	if err := tr.Err(); !errors.Is(err, ErrOverflow) {
+		t.Fatalf("Err() = %v, want ErrOverflow", err)
+	}
+	if _, err := tr.Finish(); !errors.Is(err, ErrOverflow) {
+		t.Fatalf("Finish error %v, want ErrOverflow", err)
 	}
 }

@@ -416,6 +416,39 @@ func TestShardRejectionAborts(t *testing.T) {
 	}
 }
 
+// TestOverflowingShardAborts: a body whose cluster sums overflow
+// float64 makes the worker holding those rows answer 400, so the
+// cluster ingest aborts without retrying or installing anything, and
+// both workers keep serving.
+func TestOverflowingShardAborts(t *testing.T) {
+	_, w1 := newDard(t)
+	_, w2 := newDard(t)
+	coord, dataDir := newCoordinator(t, []string{w1.URL, w2.URL}, nil)
+	var body bytes.Buffer
+	body.WriteString("A:interval,B:interval\n")
+	for i := 0; i < 40; i++ {
+		body.WriteString("1e160,1e160\n")
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 400; i++ {
+		fmt.Fprintf(&body, "%d,%d\n", rng.Intn(50), rng.Intn(50))
+	}
+	_, err := coord.IngestCSV(context.Background(), "big", body.Bytes(), client.IngestOptions{Shards: 2})
+	if err == nil || !strings.Contains(err.Error(), "overflow") {
+		t.Fatalf("ingest error %v, want the workers' overflow rejection", err)
+	}
+	if got := coord.Metrics().ShardsRetried.Load(); got != 0 {
+		t.Errorf("ShardsRetried = %d, want 0", got)
+	}
+	if _, err := os.Stat(filepath.Join(dataDir, "big.acfsum")); !os.IsNotExist(err) {
+		t.Errorf("a failed ingest left an artifact: %v", err)
+	}
+	if _, err := coord.IngestCSV(context.Background(), "ok", testCSV(1, 40),
+		client.IngestOptions{Groups: "Lat+Lon", Shards: 2}); err != nil {
+		t.Fatalf("ingest after the rejected one: %v", err)
+	}
+}
+
 // TestBackoffBoundsAndSeed pins the backoff envelope (positive, capped)
 // and its reproducibility: same seed, same jitter schedule.
 func TestBackoffBoundsAndSeed(t *testing.T) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/cf"
@@ -190,10 +191,16 @@ func (ing *ingester) addSource(rel relation.Source) error {
 // routes through Tree.Finish — re-absorbing paged outliers and ending
 // the ingest — and hands back the trees' own ACFs; finish=false
 // snapshots via Tree.Leaves and clones, so the stream can continue.
+// Either way it fails with cftree.ErrOverflow when a tree stopped on
+// overflowing sums or a leaf's sums are not finite, so no summary
+// carries +Inf or NaN features.
 func (ing *ingester) collect(finish bool) ([][]*cf.ACF, []cftree.Stats, error) {
 	leaves := make([][]*cf.ACF, len(ing.trees))
 	stats := make([]cftree.Stats, len(ing.trees))
 	for g, tr := range ing.trees {
+		if err := tr.Err(); err != nil {
+			return nil, nil, fmt.Errorf("core: group %d: %w", g, err)
+		}
 		if finish {
 			ls, err := tr.Finish()
 			if err != nil {
@@ -208,9 +215,32 @@ func (ing *ingester) collect(finish bool) ([][]*cf.ACF, []cftree.Stats, error) {
 			}
 			leaves[g] = out
 		}
+		if err := finiteSums(leaves[g]); err != nil {
+			return nil, nil, fmt.Errorf("core: group %d: %w", g, err)
+		}
 		stats[g] = tr.Stats()
 	}
 	return leaves, stats, nil
+}
+
+// finiteSums returns cftree.ErrOverflow when a leaf's sums are +Inf or
+// NaN. A tree stops when a descent finds no finite child, but a few
+// overflowing tuples among ordinary ones never cause that. A per-cell
+// cap on the relation would not do: the overflow depends on N and the
+// group's dims, not on one value.
+func finiteSums(leaves []*cf.ACF) error {
+	for _, a := range leaves {
+		for g, ss := range a.SS {
+			bad := math.IsNaN(ss) || math.IsInf(ss, 0)
+			for _, v := range a.LS[g] {
+				bad = bad || math.IsNaN(v) || math.IsInf(v, 0)
+			}
+			if bad {
+				return fmt.Errorf("%w: a cluster (N=%d) has non-finite sums on projection group %d", cftree.ErrOverflow, a.N, g)
+			}
+		}
+	}
+	return nil
 }
 
 // summarize packages the trees' current contents, with provenance, into

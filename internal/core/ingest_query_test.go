@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"repro/internal/cftree"
 	"repro/internal/relation"
 	"repro/internal/summary"
 )
@@ -367,5 +369,52 @@ func TestQueryOptionsVary(t *testing.T) {
 		}
 		sameClusterGeometry(t, queried.Clusters, mined.Clusters, v.name)
 		sameRules(t, queried.Rules, mined.Rules, v.name)
+	}
+}
+
+// TestIngestRejectsOverflowingSums: a relation whose cluster sums
+// overflow float64 fails Phase I with cftree.ErrOverflow instead of
+// panicking on a lane goroutine or yielding a summary with +Inf or NaN
+// features. "descent" leads with 40 overflowing rows, so a descent finds
+// every child centroid +Inf or NaN away; "leaf sums" holds three, so
+// every descent still finds a finite child and only the leaves' sums
+// show the overflow.
+func TestIngestRejectsOverflowingSums(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		big  int
+	}{{"descent", 40}, {"leaf sums", 3}} {
+		rel := relation.NewRelation(relation.MustSchema(
+			relation.Attribute{Name: "A", Kind: relation.Interval},
+			relation.Attribute{Name: "B", Kind: relation.Interval},
+		))
+		for i := 0; i < tc.big; i++ {
+			rel.MustAppend([]float64{1e160, 1e160})
+		}
+		rng := rand.New(rand.NewSource(7))
+		for i := 0; i < 400; i++ {
+			rel.MustAppend([]float64{float64(rng.Intn(50)), float64(rng.Intn(50))})
+		}
+		part := relation.SingletonPartitioning(rel.Schema())
+		for _, workers := range []int{1, 2} {
+			opt := DefaultOptions()
+			opt.DiameterThreshold = 0.1
+			opt.Workers = workers
+			if _, err := Ingest(rel, part, opt); !errors.Is(err, cftree.ErrOverflow) {
+				t.Errorf("%s, workers=%d: Ingest error %v, want cftree.ErrOverflow", tc.name, workers, err)
+			}
+		}
+		opt := DefaultOptions()
+		opt.PostScan = false
+		im, err := NewIncrementalMiner(part, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rel.Scan(func(_ int, tuple []float64) error { return im.Add(tuple) }); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := im.Summary(); !errors.Is(err, cftree.ErrOverflow) {
+			t.Errorf("%s: incremental Summary error %v, want cftree.ErrOverflow", tc.name, err)
+		}
 	}
 }

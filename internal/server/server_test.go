@@ -704,3 +704,54 @@ func TestIngestDefaultWorkers(t *testing.T) {
 		t.Errorf("defaulted-workers ingest diverges from workers=1\ndefault:\n%s\nserial:\n%s", got, want)
 	}
 }
+
+// overflowCSV leads with 40 rows whose squared sums overflow to +Inf,
+// then ordinary rows: every centroid distance an ACF-tree descent
+// computes against the first clusters is +Inf or NaN.
+func overflowCSV() []byte {
+	var b bytes.Buffer
+	b.WriteString("A:interval,B:interval\n")
+	for i := 0; i < 40; i++ {
+		b.WriteString("1e160,1e160\n")
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 400; i++ {
+		fmt.Fprintf(&b, "%d,%d\n", rng.Intn(50), rng.Intn(50))
+	}
+	return b.Bytes()
+}
+
+// TestIngestRejectsOverflowingSums pins the answer to a relation whose
+// sums overflow: both ingest endpoints answer 400 at the serial and the
+// pipelined worker counts, with or without a d0, nothing lands in the
+// catalog, and the server keeps serving. A panic in Phase I would not
+// do: net/http recovers it on the serial path, but on a pipeline lane
+// goroutine it kills the process.
+func TestIngestRejectsOverflowingSums(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	body := overflowCSV()
+	for _, u := range []string{
+		"/v1/ingest?name=big&workers=1",
+		"/v1/ingest?name=big&workers=2",
+		"/v1/ingest?name=big&workers=2&d0=0.1",
+		"/v1/ingest/shard?workers=1",
+		"/v1/ingest/shard?workers=2&d0=0.1",
+	} {
+		resp, err := http.Post(ts.URL+u, "text/csv", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", u, err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(b, []byte("overflow")) {
+			t.Fatalf("POST %s: status %d, want 400 naming the overflow (body %s)", u, resp.StatusCode, b)
+		}
+	}
+	if _, ok := srv.catalog.version("big"); ok {
+		t.Fatal("a failed ingest installed a summary")
+	}
+	postIngest(t, ts, "ok", "workers=2", salaryCSV(t))
+	if resp, b := postQuery(t, ts, "ok", `{}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("query after the rejected ingests: status %d: %s", resp.StatusCode, b)
+	}
+}
