@@ -65,6 +65,7 @@ lintbudget: darlint
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseRelation -fuzztime=30s ./cmd/darminer
 	$(GO) test -run='^$$' -fuzz=FuzzReadCSV -fuzztime=30s ./internal/relation
+	$(GO) test -run='^$$' -fuzz=FuzzParseCSV -fuzztime=30s ./internal/relation
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=30s ./internal/summary
 	$(GO) test -run='^$$' -fuzz=FuzzPlanShards -fuzztime=30s ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzRefine -fuzztime=30s ./internal/cftree
@@ -73,21 +74,24 @@ fuzz:
 # gate every CI run: Decode must never panic on hostile bytes, and
 # whatever it accepts must re-encode canonically. The shard-plan fuzz
 # checks that darc's byte-range shards parse back to the body's rows;
-# the refinement fuzz pins cftree.Refine to its full-rescan reference.
+# the refinement fuzz pins cftree.Refine to its full-rescan reference;
+# the CSV fuzz pins ParseCSV's byte scanner to the encoding/csv loop.
 fuzzsmoke:
 	$(GO) test -race -run='^$$' -fuzz=FuzzDecode -fuzztime=10s ./internal/summary
 	$(GO) test -race -run='^$$' -fuzz=FuzzQueryOptions -fuzztime=10s ./internal/core
 	$(GO) test -race -run='^$$' -fuzz=FuzzPlanShards -fuzztime=10s ./internal/cluster
 	$(GO) test -race -run='^$$' -fuzz=FuzzRefine -fuzztime=10s ./internal/cftree
+	$(GO) test -race -run='^$$' -fuzz=FuzzParseCSV -fuzztime=10s ./internal/relation
 
 # The query-mode differential suite under the race detector: fused
 # engine output (measures, filters, sweeps, top-k, diffs) must equal
 # the explicit helper composition over the base rule set, bit for bit,
 # across worker counts, merged shards, incremental snapshots, the HTTP
-# endpoints and both CLI paths.
+# endpoints and both CLI paths; answers served over a memoized base must
+# equal a fresh QuerySummary, also while a writer re-ingests.
 querydiff:
 	$(GO) test -race -run 'TestQueryModes|TestMeasure|TestConviction|TestDiffRules' ./internal/core
-	$(GO) test -race -run 'TestQueryMode|TestServedDiff|TestModeCache|TestDiffCache|TestDiffMetrics' ./internal/server
+	$(GO) test -race -run 'TestQueryMode|TestServedDiff|TestModeCache|TestDiffCache|TestDiffMetrics|TestMemo|TestOptionBodies' ./internal/server
 	$(GO) test -race -run 'TestGoldenQuery|TestOldSummary|TestDiffCLI|TestRemoteDiff' ./cmd/darminer
 
 # perfbench's own tests (a separate module): its output checks answer

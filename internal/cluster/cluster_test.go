@@ -117,9 +117,9 @@ func readArtifact(t *testing.T, dataDir, name string) []byte {
 // pinned thresholds, fold with MergeAll in shard order.
 func localReference(t *testing.T, csv []byte, groups string, shards int, name string) []byte {
 	t.Helper()
-	rel, ends, err := relation.ReadCSVRecordEnds(bytes.NewReader(csv))
+	rel, ends, err := relation.ParseCSV(csv)
 	if err != nil {
-		t.Fatalf("ReadCSVRecordEnds: %v", err)
+		t.Fatalf("ParseCSV: %v", err)
 	}
 	part, err := relation.ParseGroupsSpec(rel.Schema(), groups)
 	if err != nil {
@@ -595,6 +595,7 @@ func TestMetricsEnvelope(t *testing.T) {
 		"cluster_merge_us_sum", "cluster_workers_total", "cluster_workers_healthy",
 		// And the embedded server's keys ride along.
 		"ingest_requests_total", "shard_ingest_requests_total", "catalog_summaries",
+		"query_base_builds_total", "query_base_reuses_total", "cache_base_entries", "cache_base_bytes",
 	} {
 		if _, ok := snap[key]; !ok {
 			t.Errorf("metrics document missing %q", key)

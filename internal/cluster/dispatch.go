@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -71,7 +70,7 @@ func (c *Coordinator) IngestCSV(ctx context.Context, name string, csv []byte, op
 }
 
 func (c *Coordinator) ingest(ctx context.Context, name string, csv []byte, opt client.IngestOptions) (IngestReport, error) {
-	rel, ends, err := relation.ReadCSVRecordEnds(bytes.NewReader(csv))
+	rel, ends, err := relation.ParseCSV(csv)
 	if err != nil {
 		return IngestReport{}, fmt.Errorf("%w: parsing CSV relation: %w", errBadIngest, err)
 	}

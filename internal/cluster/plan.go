@@ -5,7 +5,7 @@ import "fmt"
 // planShards splits a CSV body into at most want contiguous row-range
 // shards and cuts each out of the body as-is: the body's header bytes
 // followed by the bytes of its rows. ends are the body's record ends as
-// relation.ReadCSVRecordEnds reports them (ends[0] closes the header,
+// relation.ParseCSV reports them (ends[0] closes the header,
 // ends[i] closes row i-1), so a shard parses to exactly its rows and no
 // row is ever rendered back to text. Contiguous ranges (not striping)
 // keep the plan a pure function of (rows, want): the shard a row lands

@@ -12,9 +12,9 @@ import (
 // (rows, want): stable bytes, contiguous coverage, row order intact.
 func TestPlanDeterminism(t *testing.T) {
 	csv := testCSV(3, 100)
-	rel, ends, err := relation.ReadCSVRecordEnds(bytes.NewReader(csv))
+	rel, ends, err := relation.ParseCSV(csv)
 	if err != nil {
-		t.Fatalf("ReadCSVRecordEnds: %v", err)
+		t.Fatalf("ParseCSV: %v", err)
 	}
 	a, err := planShards(csv, ends, 4)
 	if err != nil {
@@ -70,7 +70,7 @@ func FuzzPlanShards(f *testing.F) {
 	f.Add([]byte("Segment:nominal,Spend\n,1\n0,2\n,3\n0,4\n"), uint8(3))
 	f.Add(testCSV(1, 20), uint8(7))
 	f.Fuzz(func(t *testing.T, body []byte, wantShards uint8) {
-		rel, ends, err := relation.ReadCSVRecordEnds(bytes.NewReader(body))
+		rel, ends, err := relation.ParseCSV(body)
 		if err != nil || rel.Len() == 0 {
 			return
 		}

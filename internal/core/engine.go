@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/cf"
 	"repro/internal/distance"
@@ -196,11 +197,41 @@ type ruleEngine struct {
 // relation. The same summary can serve any number of queries with
 // different options.
 //
+// It is QueryBase followed by WithQueryModes; a server that memoizes
+// bases per summary version composes the two itself.
+//
 // Over the same relation, options and worker count, the result is
 // bit-identical to Mine with PostScan disabled (the differential tests
 // pin this); PostScan extras — exact boxes, rule supports, the
 // MinRuleSupport filter — need the relation and are out of scope here.
 func QuerySummary(s *summary.Summary, q QueryOptions) (*Result, error) {
+	base, err := QueryBase(s, q)
+	if err != nil {
+		return nil, err
+	}
+	return base.WithQueryModes(q, s.GroupIndex)
+}
+
+// BaseOptions returns q with its query modes (Measures, both group
+// filters, SweepFactors, TopK) cleared: the options that shape the base
+// rule set. Two queries whose BaseOptions share a CanonicalKey share a
+// base, and differ only in the post-processing WithQueryModes applies.
+func (q QueryOptions) BaseOptions() QueryOptions {
+	q.Measures = false
+	q.AntecedentGroups = nil
+	q.ConsequentGroups = nil
+	q.SweepFactors = nil
+	q.TopK = 0
+	return q
+}
+
+// QueryBase is the Phase II half of QuerySummary: it validates q, then
+// clones, refines and frequency-filters the summary's clusters and
+// forms the base rule set of q.BaseOptions() — every mode left
+// unapplied. The returned Result is never modified afterwards by this
+// package: WithQueryModes works on a copy, so one base can serve
+// concurrent queries.
+func QueryBase(s *summary.Summary, q QueryOptions) (*Result, error) {
 	if s == nil {
 		return nil, fmt.Errorf("core: nil summary")
 	}
@@ -236,17 +267,13 @@ func QuerySummary(s *summary.Summary, q QueryOptions) (*Result, error) {
 	stats.ClustersFound = found
 	stats.FrequentClusters = len(clusters)
 
-	e := &ruleEngine{opt: q, numGroups: groups, d0: d0}
+	e := &ruleEngine{opt: q.BaseOptions(), numGroups: groups, d0: d0}
 	rules, p2 := e.run(clusters, nominal, summaryCooccurrence(clusters, nominal))
-	res := &Result{Clusters: clusters, Rules: rules, PhaseI: stats, PhaseII: p2}
-	if err := res.applyQueryModes(q, s.GroupIndex); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return &Result{Clusters: clusters, Rules: rules, PhaseI: stats, PhaseII: p2}, nil
 }
 
-// applyQueryModes runs the deterministic post-processing pipeline over
-// the base rule set, in this fixed order:
+// WithQueryModes returns a new Result: base with the deterministic
+// post-processing pipeline of q applied, in this fixed order:
 //
 //  1. measure annotation (QueryOptions.Measures),
 //  2. antecedent/consequent group filters,
@@ -257,18 +284,24 @@ func QuerySummary(s *summary.Summary, q QueryOptions) (*Result, error) {
 // (AnnotateMeasures, FilterRules, SweepRules, Result.TopRules), so a
 // fused engine answer equals the helpers applied to the unfiltered
 // answer bit for bit — the differential suite pins this composition.
-func (res *Result) applyQueryModes(q QueryOptions, groupIndex func(string) (int, bool)) error {
+// The pipeline runs over its own copy of base's rule slice (measure
+// annotation writes into it); base and its clusters are only read, so
+// any number of calls may share one base concurrently. groupIndex
+// resolves filter names against the summary's partitioning.
+func (base *Result) WithQueryModes(q QueryOptions, groupIndex func(string) (int, bool)) (*Result, error) {
+	res := *base
+	res.Rules = slices.Clone(base.Rules)
 	if q.Measures {
-		AnnotateMeasures(res)
+		AnnotateMeasures(&res)
 	}
 	if len(q.AntecedentGroups) > 0 || len(q.ConsequentGroups) > 0 {
 		ante, err := resolveGroupFilter("AntecedentGroups", q.AntecedentGroups, groupIndex)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		cons, err := resolveGroupFilter("ConsequentGroups", q.ConsequentGroups, groupIndex)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		res.Rules = FilterRules(res.Rules, res.Clusters, ante, cons)
 	}
@@ -278,7 +311,7 @@ func (res *Result) applyQueryModes(q QueryOptions, groupIndex func(string) (int,
 	if q.TopK > 0 {
 		res.Rules = res.TopRules(q.TopK)
 	}
-	return nil
+	return &res, nil
 }
 
 // resolveGroupFilter maps filter names onto group indices, rejecting

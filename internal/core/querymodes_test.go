@@ -106,7 +106,7 @@ func modeTable() []struct {
 
 // postProcess applies the exported helpers to a base (mode-free) result
 // in the documented pipeline order. This deliberately re-states the
-// composition instead of calling the engine's own applyQueryModes: if
+// composition instead of calling the engine's own WithQueryModes: if
 // the engine ever fuses a mode into rule formation for speed, the
 // differential still pins the semantics.
 func postProcess(t *testing.T, res *Result, q QueryOptions, s *summary.Summary) {

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"bytes"
 	"encoding/csv"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // CSV format used by the cmd/ tools:
@@ -18,34 +20,150 @@ import (
 // A header cell without ":kind" defaults to interval. Nominal cells may hold
 // arbitrary strings; interval and ordinal cells must parse as floats.
 
-// ReadCSV reads a relation in the annotated-header format from rd.
+// ReadCSV reads a relation in the annotated-header format from rd. It
+// reads the whole input into memory first and parses it with ParseCSV.
 func ReadCSV(rd io.Reader) (*Relation, error) {
-	return readCSV(rd, nil)
+	var buf bytes.Buffer
+	if _, err := io.Copy(&buf, rd); err != nil {
+		return nil, fmt.Errorf("relation: reading CSV: %w", err)
+	}
+	return parseCSV(buf.Bytes(), nil)
 }
 
-// ReadCSVRecordEnds is ReadCSV that also reports where each record ends
-// in the input: ends[0] is the byte offset just past the header record
-// and ends[i] the offset just past data row i-1. The header is therefore
-// input[:ends[0]] and rows [lo, hi) are input[ends[lo]:ends[hi]] — a
-// byte range that parses, behind the same header, to exactly those rows
-// (blank lines between records travel with the record after them).
-func ReadCSVRecordEnds(rd io.Reader) (*Relation, []int64, error) {
+// ParseCSV parses a relation in the annotated-header format from body
+// and reports where each record ends in it: ends[0] is the byte offset
+// just past the header record and ends[i] the offset just past data row
+// i-1. The header is therefore body[:ends[0]] and rows [lo, hi) are
+// body[ends[lo]:ends[hi]] — a byte range that parses, behind the same
+// header, to exactly those rows (blank lines between records travel
+// with the record after them).
+//
+// The header goes through encoding/csv; the rows go through a byte
+// scanner that handles the plain, unquoted form WriteCSV and datagen
+// emit. Whatever the scanner does not handle exactly as encoding/csv
+// would, it hands back: the whole body is then parsed again by the
+// encoding/csv loop (readCSV), so relations, record ends and error
+// text never depend on which path ran. The triggers are a '"' or '\r'
+// anywhere in the body, a row whose field count differs from the
+// header's, a numeric cell that strconv.ParseFloat rejects or parses
+// non-finite, and a nominal cell whose first byte after ASCII-space
+// trimming is non-ASCII (encoding/csv also trims leading Unicode
+// spaces).
+func ParseCSV(body []byte) (*Relation, []int64, error) {
 	var ends []int64
-	rel, err := readCSV(rd, &ends)
+	rel, err := parseCSV(body, &ends)
 	return rel, ends, err
 }
 
-// readCSV is the one parse loop behind ReadCSV and ReadCSVRecordEnds;
-// it appends each record's end offset to *ends when ends is non-nil.
-func readCSV(rd io.Reader, ends *[]int64) (*Relation, error) {
-	cr := csv.NewReader(rd)
+// parseCSV is ParseCSV that records the ends only when ends is non-nil.
+func parseCSV(body []byte, ends *[]int64) (*Relation, error) {
+	if bytes.IndexByte(body, '"') >= 0 || bytes.IndexByte(body, '\r') >= 0 {
+		return readCSV(bytes.NewReader(body), ends)
+	}
+	cr := csv.NewReader(bytes.NewReader(body))
 	cr.TrimLeadingSpace = true
+	schema, err := readHeader(cr)
+	if err != nil {
+		return nil, err
+	}
+	rel := NewRelation(schema)
+	if !scanRows(rel, body, cr.InputOffset(), ends) {
+		return readCSV(bytes.NewReader(body), ends)
+	}
+	return rel, nil
+}
+
+// scanRows parses the rows of body, which start at offset start, into
+// rel and appends their record ends (header end first) to *ends when
+// ends is non-nil. It reports false, leaving *ends untouched, on the
+// first thing it does not handle exactly as readCSV would. A row is
+// split at every ','; cells lose leading ASCII spaces as
+// TrimLeadingSpace would, and numeric cells trailing ones too, as
+// strings.TrimSpace would; a blank line is skipped.
+//
+// The relation and the ends are pre-sized from the newline count, but
+// never beyond the body's own size: blank lines, or short rows behind a
+// wide header, must not commit more memory than the body occupies
+// before the scan rejects them.
+func scanRows(rel *Relation, body []byte, start int64, ends *[]int64) bool {
+	s := rel.schema
+	w := s.Width()
+	rows := min(bytes.Count(body[start:], []byte{'\n'})+1, len(body)/(8*max(w, 1))+1)
+	rel.data = make([]float64, 0, rows*w)
+	var recEnds []int64
+	if ends != nil {
+		recEnds = append(make([]int64, 0, rows+1), start)
+	}
+	for off := int(start); off < len(body); {
+		line := body[off:]
+		if i := bytes.IndexByte(line, '\n'); i >= 0 {
+			line = line[:i]
+			off += i + 1
+		} else {
+			off = len(body)
+		}
+		if len(line) == 0 {
+			continue
+		}
+		for field := 0; ; field++ {
+			if field == w {
+				return false
+			}
+			cell := line
+			comma := bytes.IndexByte(line, ',')
+			if comma >= 0 {
+				cell, line = line[:comma], line[comma+1:]
+			}
+			cell = trimASCIISpace(cell, true, false)
+			if a := &s.attrs[field]; a.Kind == Nominal {
+				if len(cell) > 0 && cell[0] >= utf8.RuneSelf {
+					return false
+				}
+				rel.data = append(rel.data, a.Dict.codeBytes(cell))
+			} else {
+				v, err := strconv.ParseFloat(string(trimASCIISpace(cell, false, true)), 64)
+				if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+					return false
+				}
+				rel.data = append(rel.data, v)
+			}
+			if comma < 0 {
+				if field != w-1 {
+					return false
+				}
+				break
+			}
+		}
+		rel.rows++
+		if ends != nil {
+			recEnds = append(recEnds, int64(off))
+		}
+	}
+	if ends != nil {
+		*ends = recEnds
+	}
+	return true
+}
+
+// trimASCIISpace drops the ASCII spaces unicode.IsSpace knows (other
+// than the line terminators, which never reach a cell) from the chosen
+// ends of b.
+func trimASCIISpace(b []byte, left, right bool) []byte {
+	isSpace := func(c byte) bool { return c == ' ' || c == '\t' || c == '\v' || c == '\f' }
+	for left && len(b) > 0 && isSpace(b[0]) {
+		b = b[1:]
+	}
+	for right && len(b) > 0 && isSpace(b[len(b)-1]) {
+		b = b[:len(b)-1]
+	}
+	return b
+}
+
+// readHeader reads the annotated header record and builds its schema.
+func readHeader(cr *csv.Reader) (*Schema, error) {
 	header, err := cr.Read()
 	if err != nil {
 		return nil, fmt.Errorf("relation: reading CSV header: %w", err)
-	}
-	if ends != nil {
-		*ends = append(*ends, cr.InputOffset())
 	}
 	attrs := make([]Attribute, len(header))
 	for i, h := range header {
@@ -59,9 +177,21 @@ func readCSV(rd io.Reader, ends *[]int64) (*Relation, error) {
 		}
 		attrs[i] = Attribute{Name: strings.TrimSpace(name), Kind: kind}
 	}
-	schema, err := NewSchema(attrs...)
+	return NewSchema(attrs...)
+}
+
+// readCSV is the encoding/csv parse loop: ParseCSV's fallback and the
+// reference its scanner is tested against. It appends each record's
+// end offset to *ends when ends is non-nil.
+func readCSV(rd io.Reader, ends *[]int64) (*Relation, error) {
+	cr := csv.NewReader(rd)
+	cr.TrimLeadingSpace = true
+	schema, err := readHeader(cr)
 	if err != nil {
 		return nil, err
+	}
+	if ends != nil {
+		*ends = append(*ends, cr.InputOffset())
 	}
 	rel := NewRelation(schema)
 	tuple := make([]float64, schema.Width())

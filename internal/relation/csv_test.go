@@ -2,9 +2,11 @@ package relation
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -137,5 +139,33 @@ func TestReadCSVRejectsNonFinite(t *testing.T) {
 		if _, err := ReadCSV(strings.NewReader("a\n" + cell + "\n")); err == nil {
 			t.Errorf("cell %q accepted", cell)
 		}
+	}
+}
+
+// TestParseCSVPresizeIsBounded: ParseCSV pre-sizes the relation from
+// the body's newline count, so a body of blank lines behind a wide
+// header must not make it allocate more than the body's own size
+// (100 columns × 100K blank lines would otherwise ask for 80 MB).
+func TestParseCSVPresizeIsBounded(t *testing.T) {
+	var b bytes.Buffer
+	for i := 0; i < 100; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "c%d", i)
+	}
+	b.WriteString("\n1")
+	b.WriteString(strings.Repeat(",1", 99))
+	b.WriteString(strings.Repeat("\n", 100_000))
+	body := b.Bytes()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rel, _, err := ParseCSV(body)
+	runtime.ReadMemStats(&after)
+	if err != nil || rel.Len() != 1 {
+		t.Fatalf("ParseCSV: %d rows, %v", rel.Len(), err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > uint64(4*len(body)) {
+		t.Errorf("ParseCSV of a %d-byte body allocated %d bytes", len(body), got)
 	}
 }

@@ -27,6 +27,15 @@ func (d *Dictionary) Code(v string) float64 {
 	return c
 }
 
+// codeBytes is Code for a value held as bytes; only a new value
+// allocates.
+func (d *Dictionary) codeBytes(v []byte) float64 {
+	if c, ok := d.codes[string(v)]; ok {
+		return c
+	}
+	return d.Code(string(v))
+}
+
 // Lookup returns the code for v and whether v has been seen.
 func (d *Dictionary) Lookup(v string) (float64, bool) {
 	c, ok := d.codes[v]

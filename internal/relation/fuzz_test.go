@@ -3,6 +3,7 @@ package relation
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -56,6 +57,80 @@ func FuzzReadCSV(f *testing.F) {
 					}
 				} else if math.Float64bits(v) != math.Float64bits(w) {
 					t.Fatalf("row %d, %q: %v came back as %v\ninput: %q\nemitted: %q", r, s.Attr(i).Name, v, w, input, emitted)
+				}
+			}
+		}
+	})
+}
+
+// FuzzParseCSV pins ParseCSV's byte scanner to the encoding/csv loop it
+// falls back to (readCSV): on every input both sides agree on whether
+// there is an error and on its text, and on success on the schema's
+// names and kinds, every nominal dictionary in code order, every
+// value's bits and the record ends.
+func FuzzParseCSV(f *testing.F) {
+	for _, seed := range []string{
+		"a,b\n1,2\n",
+		"a:nominal,b:ordinal\nx,1\ny,2\nx,3\n",
+		"a:nominal,b\n\"x,y\",1\n",
+		"a,b\r\n1,2\r\n",
+		"a,b\n1,2\r3,4\n",
+		"a\n\n1\n\n\n2",
+		"a,b\n\n\n",
+		"a:nominal,b\n  x ,\t 1 \n\tx, 2\t\n",
+		"a\n\xc2\xa01\n",
+		"a:nominal\n\xc2\xa0x\n",
+		"a:nominal\nx\xc2\xa0\n",
+		"a\n1\xc2\xa0\n",
+		"a\n0x1p3\n",
+		"a\n1_0\n",
+		"a\n+1.5e3\n",
+		"a\n-0\n",
+		"a\n.5\n",
+		"a\nInf\n",
+		"a\n1e309\n",
+		"a,b\n1\n",
+		"a,b\n1,2,3\n",
+		"a,b\n1,2\n3\n",
+		"a\n   \n",
+		"a:nominal\n \t\n",
+		"a:nominal,b\n,1\n \v\f,2",
+		"",
+		"a:bogus\n1\n",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, input string) {
+		body := []byte(input)
+		got, gotEnds, gotErr := ParseCSV(body)
+		var wantEnds []int64
+		want, wantErr := readCSV(bytes.NewReader(body), &wantEnds)
+		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+			t.Fatalf("errors differ: scanner %v, encoding/csv %v\ninput: %q", gotErr, wantErr, input)
+		}
+		if gotErr != nil {
+			return
+		}
+		if !slices.Equal(gotEnds, wantEnds) {
+			t.Fatalf("record ends %v, want %v\ninput: %q", gotEnds, wantEnds, input)
+		}
+		gs, ws := got.Schema(), want.Schema()
+		if gs.Width() != ws.Width() || got.Len() != want.Len() {
+			t.Fatalf("shape %dx%d, want %dx%d\ninput: %q", got.Len(), gs.Width(), want.Len(), ws.Width(), input)
+		}
+		for i := 0; i < ws.Width(); i++ {
+			g, w := gs.Attr(i), ws.Attr(i)
+			if g.Name != w.Name || g.Kind != w.Kind {
+				t.Fatalf("attribute %d: %q %v, want %q %v\ninput: %q", i, g.Name, g.Kind, w.Name, w.Kind, input)
+			}
+			if w.Kind == Nominal && !slices.Equal(g.Dict.values, w.Dict.values) {
+				t.Fatalf("attribute %d dictionary %q, want %q\ninput: %q", i, g.Dict.values, w.Dict.values, input)
+			}
+		}
+		for r := 0; r < want.Len(); r++ {
+			for i, v := range want.Tuple(r) {
+				if g := got.Tuple(r)[i]; math.Float64bits(g) != math.Float64bits(v) {
+					t.Fatalf("row %d, column %d: %v, want %v\ninput: %q", r, i, g, v, input)
 				}
 			}
 		}

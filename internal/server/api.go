@@ -18,14 +18,20 @@
 // Query serving is built for repeated load: identical in-flight
 // queries collapse into one execution (singleflight), finished
 // responses live in an LRU byte-budget cache keyed by (summary
-// version, canonical options) and invalidated by merge/re-ingest, and
+// version, canonical options) and invalidated by merge/re-ingest, the
+// same cache memoizes each version's base rule set so a miss that
+// differs from an earlier one only in query modes skips Phase II, and
 // every request runs under a body-size limit and a timeout. A served
 // query is bit-identical to `darminer ingest | query` over the same
 // data — the differential tests in cmd/darminer pin this.
 package server
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/distance"
@@ -58,13 +64,36 @@ type queryRequest struct {
 	Workers          int       `json:"workers,omitempty"`
 }
 
+// parseQueryOptions decodes the options body of a query or diff
+// request (an empty body is the default query) and resolves it. The
+// body must be exactly one JSON object: anything but whitespace after
+// it is an error, not a second document to ignore.
+func parseQueryOptions(body []byte) (core.QueryOptions, error) {
+	var qr queryRequest
+	if len(bytes.TrimSpace(body)) > 0 {
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&qr); err != nil {
+			return core.QueryOptions{}, fmt.Errorf("parsing query options: %w", err)
+		}
+		if len(bytes.Trim(body[dec.InputOffset():], " \t\r\n")) > 0 {
+			return core.QueryOptions{}, errors.New("parsing query options: trailing data after the JSON object")
+		}
+	}
+	return qr.options()
+}
+
 // options resolves the request against the defaults and validates it.
 func (qr queryRequest) options() (core.QueryOptions, error) {
 	q := core.DefaultQueryOptions()
 	if qr.Metric != nil {
 		m, ok := distance.ParseClusterMetric(*qr.Metric)
 		if !ok {
-			return q, fmt.Errorf("unknown metric %q (want D0, D1 or D2)", *qr.Metric)
+			var names []string
+			for m := distance.D0; m <= distance.D4; m++ {
+				names = append(names, m.String())
+			}
+			return q, fmt.Errorf("unknown metric %q (want one of %s)", *qr.Metric, strings.Join(names, ", "))
 		}
 		q.Metric = m
 	}

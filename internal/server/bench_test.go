@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // benchServer builds a server with the salary dataset pre-ingested.
@@ -34,21 +36,34 @@ func benchServer(b *testing.B) (*Server, *httptest.Server) {
 // BenchmarkServerQuery measures the full HTTP query path. The cached
 // variant is the steady state of a hot dashboard (every request a cache
 // hit); the uncached variant invalidates between requests, so each
-// iteration pays Phase II plus rendering.
+// iteration pays Phase II plus rendering; the warm-base variant drops
+// the rendered answer but keeps the memoized base rule set, so each
+// iteration pays the query modes plus rendering.
 func BenchmarkServerQuery(b *testing.B) {
-	for _, mode := range []string{"cached", "uncached"} {
+	for _, mode := range []string{"cached", "uncached", "warm-base"} {
 		b.Run(mode, func(b *testing.B) {
 			srv, ts := benchServer(b)
 			warm, _ := postQueryQuiet(ts, "s", "{}")
 			if warm != http.StatusOK {
 				b.Fatalf("warm-up query status %d", warm)
 			}
+			baseKey := baseCacheKey("s", 1, core.DefaultQueryOptions())
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if mode == "uncached" {
+				switch mode {
+				case "uncached":
 					b.StopTimer()
 					srv.cache.invalidate("s")
+					b.StartTimer()
+				case "warm-base":
+					b.StopTimer()
+					base, ok := srv.cache.getBase(baseKey)
+					if !ok {
+						b.Fatal("base not memoized")
+					}
+					srv.cache.invalidate("s")
+					srv.cache.putBase(baseKey, base)
 					b.StartTimer()
 				}
 				status, body := postQueryQuiet(ts, "s", "{}")

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
 	"net/http"
 	"strconv"
 	"time"
@@ -48,16 +47,7 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var qr queryRequest
-	if len(bytes.TrimSpace(body)) > 0 {
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&qr); err != nil {
-			s.writeError(w, http.StatusBadRequest, "parsing query options: %v", err)
-			return
-		}
-	}
-	q, err := qr.options()
+	q, err := parseQueryOptions(body)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return

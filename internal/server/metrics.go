@@ -39,6 +39,11 @@ type Metrics struct {
 	QueryExecutions   atomic.Int64
 	QueryTimeouts     atomic.Int64
 	QueryLatencyUsSum atomic.Int64
+	// The query memo: an execution either builds its base rule set or
+	// reuses one built on the same summary version (from the memo, or
+	// by joining a concurrent build).
+	QueryBaseBuilds atomic.Int64
+	QueryBaseReuses atomic.Int64
 
 	// Catalog churn.
 	CatalogLoads       atomic.Int64
@@ -67,6 +72,8 @@ func (m *Metrics) snapshot(gauges map[string]int64) map[string]int64 {
 		"query_executions_total":      m.QueryExecutions.Load(),
 		"query_timeouts_total":        m.QueryTimeouts.Load(),
 		"query_latency_us_sum":        m.QueryLatencyUsSum.Load(),
+		"query_base_builds_total":     m.QueryBaseBuilds.Load(),
+		"query_base_reuses_total":     m.QueryBaseReuses.Load(),
 		"catalog_loads_total":         m.CatalogLoads.Load(),
 		"catalog_evictions_total":     m.CatalogEvictions.Load(),
 		"catalog_quarantines_total":   m.CatalogQuarantines.Load(),

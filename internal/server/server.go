@@ -87,6 +87,9 @@ type Server struct {
 	// swap it while an abandoned (timed-out) flight may still be
 	// running.
 	testHookExec atomic.Pointer[func()]
+	// testHookBase, when set, runs before every base build (inside the
+	// base flight), as testHookExec does for executions.
+	testHookBase atomic.Pointer[func()]
 }
 
 var errUnknownSummary = errors.New("server: unknown summary")
@@ -199,6 +202,7 @@ func (s *Server) Handler() http.Handler {
 func (s *Server) gauges() map[string]int64 {
 	summaries, loaded, loadedBytes := s.catalog.stats()
 	entries, cacheBytes := s.cache.stats()
+	bases, baseBytes := s.cache.baseStats()
 	st := s.store.Stats()
 	return map[string]int64{
 		"catalog_summaries":            int64(summaries),
@@ -206,6 +210,8 @@ func (s *Server) gauges() map[string]int64 {
 		"catalog_loaded_bytes":         loadedBytes,
 		"cache_entries":                int64(entries),
 		"cache_bytes":                  cacheBytes,
+		"cache_base_entries":           int64(bases),
+		"cache_base_bytes":             baseBytes,
 		"storage_records":              st.Records,
 		"storage_live_bytes":           st.LiveBytes,
 		"storage_garbage_bytes":        st.GarbageBytes,
@@ -308,7 +314,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	rel, err := relation.ReadCSV(bytes.NewReader(body))
+	rel, _, err := relation.ParseCSV(body)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "parsing CSV relation: %v", err)
 		return
@@ -427,16 +433,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var qr queryRequest
-	if len(bytes.TrimSpace(body)) > 0 {
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&qr); err != nil {
-			s.writeError(w, http.StatusBadRequest, "parsing query options: %v", err)
-			return
-		}
-	}
-	q, err := qr.options()
+	q, err := parseQueryOptions(body)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -510,7 +507,15 @@ func (s *Server) runQueryFlight(key, name string, q core.QueryOptions) ([]byte, 
 			return flightValue{}, err
 		}
 		s.metrics.QueryExecutions.Add(1)
-		rendered, err := renderQuery(sum, q)
+		base, err := s.queryBase(name, v, sum, q)
+		if err != nil {
+			return flightValue{}, err
+		}
+		res, err := base.WithQueryModes(q, sum.GroupIndex)
+		if err != nil {
+			return flightValue{}, err
+		}
+		rendered, err := renderResult(sum, res)
 		if err != nil {
 			return flightValue{}, err
 		}
@@ -520,16 +525,47 @@ func (s *Server) runQueryFlight(key, name string, q core.QueryOptions) ([]byte, 
 	return val.body, val.version, shared, err
 }
 
-// renderQuery runs the pure Phase II engine over the summary and
-// renders the result exactly as `darminer query -json` does: the
-// core.Export document, two-space indented, trailing newline. Cluster
-// descriptions come from the summary's recorded schema — an empty
-// relation over it serves as the value formatter, as on the CLI path.
-func renderQuery(sum *summary.Summary, q core.QueryOptions) ([]byte, error) {
-	res, err := core.QuerySummary(sum, q)
+// queryBase returns the base rule set (core.QueryBase) of q over
+// version v of the named summary. It runs in a flight keyed by the
+// base's memo key, so concurrent misses sharing a base build it once;
+// the flight takes the base from the memo when an earlier miss on that
+// version built it, and otherwise builds it — never under the cache
+// mutex — and memoizes it.
+func (s *Server) queryBase(name string, v uint64, sum *summary.Summary, q core.QueryOptions) (*core.Result, error) {
+	key := baseCacheKey(name, v, q)
+	built := false // set only when this caller's own flight built the base
+	val, _, err := s.flights.Do(key, func() (flightValue, error) {
+		if base, ok := s.cache.getBase(key); ok {
+			return flightValue{base: base}, nil
+		}
+		if h := s.testHookBase.Load(); h != nil {
+			(*h)()
+		}
+		base, err := core.QueryBase(sum, q)
+		if err != nil {
+			return flightValue{}, err
+		}
+		built = true
+		s.cache.putBase(key, base)
+		return flightValue{base: base}, nil
+	})
 	if err != nil {
 		return nil, err
 	}
+	if built {
+		s.metrics.QueryBaseBuilds.Add(1)
+	} else {
+		s.metrics.QueryBaseReuses.Add(1)
+	}
+	return val.base, nil
+}
+
+// renderResult renders a query result over sum as `darminer query
+// -json` does: the core.Export document, two-space indented, trailing
+// newline. Cluster descriptions come from the summary's recorded schema
+// — an empty relation over it serves as the value formatter, as on the
+// CLI path.
+func renderResult(sum *summary.Summary, res *core.Result) ([]byte, error) {
 	schema, err := sum.Schema()
 	if err != nil {
 		return nil, err

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"errors"
 	"net/http"
 	"runtime"
@@ -69,7 +68,7 @@ func (s *Server) handleShardIngest(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	rel, err := relation.ReadCSV(bytes.NewReader(body))
+	rel, _, err := relation.ParseCSV(body)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "parsing CSV shard: %v", err)
 		return

@@ -1,16 +1,21 @@
 package server
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/core"
+)
 
 // flightGroup deduplicates concurrent identical work: the first caller
 // of Do for a key executes fn, every caller that arrives while that
 // execution is in flight blocks on the same call and shares its result.
 // It is a minimal analogue of x/sync/singleflight (not vendored here;
 // the repo builds offline) specialized to the query path's
-// (flightValue, error) results. Request timeouts are enforced a layer
-// above (the handler races Do against the request context), so an
-// abandoned flight keeps running and its result still lands in the
-// cache for future requests.
+// (flightValue, error) results. Query, diff and base flights share one
+// group; their keys live in the result cache's disjoint namespaces.
+// Request timeouts are enforced a layer above (the handler races Do
+// against the request context), so an abandoned flight keeps running
+// and its result still lands in the cache for future requests.
 type flightGroup struct {
 	mu sync.Mutex
 	m  map[string]*flightCall
@@ -18,11 +23,13 @@ type flightGroup struct {
 
 // flightValue is what one execution hands every caller of its flight:
 // the rendered body and the catalog versions it was rendered from, so
-// a waiter's response names the same versions as the executor's.
+// a waiter's response names the same versions as the executor's — or,
+// for a base flight (Server.queryBase), the base rule set it built.
 type flightValue struct {
 	body       []byte
 	version    uint64 // the queried summary's version; a diff's old one
 	newVersion uint64 // a diff's new summary's version
+	base       *core.Result
 }
 
 // flightCall is one in-flight execution. done is closed exactly once,
