@@ -18,7 +18,7 @@
 GO ?= go
 BIN := bin
 
-.PHONY: build test race fuzz fuzzsmoke querydiff perfbenchtest bench benchjson benchgate fmtcheck vet lint lintjson lintbudget darlint serversmoke storagesmoke clustersmoke crashsuite verify
+.PHONY: build test race fuzz fuzzsmoke querydiff perfbenchtest perfsmoke bench fmtcheck vet lint lintjson lintbudget darlint serversmoke storagesmoke clustersmoke crashsuite verify
 
 build:
 	$(GO) build ./...
@@ -100,32 +100,15 @@ querydiff:
 perfbenchtest:
 	cd perfbench && $(GO) test -short ./...
 
+# The perf harness's full suite: also builds dard and darc, runs every
+# workload briefly against them and fails on any answer that differs
+# from the in-process reference. Timed runs go through perfbench/run.sh
+# (see BENCHMARK.json); this target checks that the harness still works.
+perfsmoke:
+	cd perfbench && $(GO) test ./...
+
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem .
-
-# Perf-regression harness: the Figure 6 series, parallel Phase I, the
-# multi-core scaling series (GOMAXPROCS 1/2/4/8), the ingest-substrate
-# microbenchmarks and the dard server query path, emitted as one JSON
-# document with a derived scaling section.
-# One iteration per benchmark keeps it cheap enough for a CI smoke job;
-# BENCHTIME=3x steadies the numbers for before/after comparisons.
-BENCHTIME ?= 1x
-BENCHOUT ?= BENCH_PR9.json
-benchjson:
-	$(GO) run ./cmd/benchjson -benchtime $(BENCHTIME) -o $(BENCHOUT)
-
-# Regression gate: compare the fresh $(BENCHOUT) against the newest
-# committed BENCH_PR*.json baseline (excluding $(BENCHOUT) itself).
-# Fails on a >10% throughput regression or a scaling-efficiency
-# collapse when the baseline came from matching hardware; downgrades to
-# warnings when the CPU fingerprint differs, since numbers from
-# different machines aren't commensurable.
-benchgate:
-	@base=$$(ls BENCH_PR*.json 2>/dev/null | grep -vx '$(BENCHOUT)' | sort -V | tail -1); \
-	if [ -z "$$base" ]; then echo "benchgate: no committed baseline BENCH_PR*.json"; exit 1; fi; \
-	if [ ! -f "$(BENCHOUT)" ]; then echo "benchgate: $(BENCHOUT) missing; run make benchjson first"; exit 1; fi; \
-	echo "benchgate: comparing $$base -> $(BENCHOUT)"; \
-	$(GO) run ./cmd/benchjson -compare "$$base" $(BENCHOUT)
 
 # End-to-end smoke of the dard daemon: build both binaries, start the
 # server on a loopback port, ingest the golden dataset over HTTP, query

@@ -102,11 +102,10 @@ func BenchmarkPhaseI(b *testing.B) {
 
 // BenchmarkScalingPhaseI is the multi-core scaling series: the full
 // mining pipeline on the largest Figure 6 workload with the worker count
-// following GOMAXPROCS. benchjson runs it under -cpu 1,2,4,8 and derives
-// the report's scaling section (speedup and per-core efficiency against
-// the 1-proc point) from the tuples/s series. On a single-core box the
-// series still runs — it then measures pipeline overhead, and the
-// hardware-aware compare gate treats efficiency accordingly.
+// following GOMAXPROCS: run it under -cpu 1,2,4,8 and divide the
+// tuples/s series by the 1-proc point for speedup and per-core
+// efficiency. Only cores the machine really has can speed it up; past
+// them (or on a single-core box) the series measures pipeline overhead.
 func BenchmarkScalingPhaseI(b *testing.B) {
 	const n = 500_000
 	rel := wbcdRelation(b, n)
@@ -354,8 +353,10 @@ func BenchmarkRefine(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelPhaseI contrasts the serial single scan with
-// group-parallel Phase I (E5 workload at 100K tuples).
+// BenchmarkParallelPhaseI contrasts the serial single scan with the
+// Phase I lane pipeline (E5 workload at 100K tuples): Workers−1 lanes,
+// each inserting every batch into its stripe of the attribute groups'
+// trees.
 func BenchmarkParallelPhaseI(b *testing.B) {
 	for _, workers := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {

@@ -94,9 +94,6 @@ func TestInsertFlatBatchMatchesSerial(t *testing.T) {
 					batch.InsertFlatBatch(rows[at*stride:end*stride], end-at, stride)
 				}
 				treesEqual(t, serial, batch)
-				if serial.Work() != batch.Work() {
-					t.Errorf("work counters differ: serial %d, batch %d", serial.Work(), batch.Work())
-				}
 			})
 		}
 	}
@@ -134,27 +131,5 @@ func TestInsertFlatBatchSteadyStateZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state InsertFlatBatch allocates %v per run, want 0", allocs)
-	}
-}
-
-// Work grows monotonically and deterministically with the data — two
-// trees fed identical rows report identical work.
-func TestWorkDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	shape := cf.Shape{1, 1}
-	stride := shape.Dims()
-	rows := batchRows(rng, shape, 0, 500)
-	a, b := New(shape, 0, Config{Threshold: 3}), New(shape, 0, Config{Threshold: 3})
-	var last int64
-	for i := 0; i < 500; i++ {
-		a.InsertFlat(rows[i*stride : (i+1)*stride])
-		if a.Work() <= last {
-			t.Fatalf("work not strictly increasing at tuple %d", i)
-		}
-		last = a.Work()
-	}
-	b.InsertFlatBatch(rows, 500, stride)
-	if a.Work() != b.Work() {
-		t.Fatalf("identical data, different work: %d vs %d", a.Work(), b.Work())
 	}
 }

@@ -109,7 +109,6 @@ type Tree struct {
 	rebuilds   int
 	paged      int
 	seen       int64
-	work       int64
 	rebuilding bool
 
 	totalDims int   // Σ shape[g]
@@ -314,14 +313,6 @@ func (t *Tree) InsertFlatBatch(rows []float64, n, stride int) {
 	t.lastEntry = nil
 }
 
-// Work returns a deterministic estimate of the insertion work the tree
-// has performed: centroid comparisons × own-group dims accumulated over
-// every descent (rebuild re-inserts included) plus the row width per
-// tuple. It is a pure function of the data and configuration — no
-// clocks — so the pipeline can use it to balance trees across lanes
-// without perturbing determinism.
-func (t *Tree) Work() int64 { return t.work }
-
 // insertACF re-inserts a cluster summary (rebuilds and outlier
 // re-absorption).
 func (t *Tree) insertACF(a *cf.ACF) {
@@ -345,7 +336,6 @@ func (t *Tree) insertTop(pl *payload) {
 	t.path = t.path[:0]
 	for !nd.leaf {
 		addSummary(nd.summary, pl.own)
-		t.work += int64(len(nd.children)) * int64(t.dims)
 		i, _ := nd.closestChild(pl.p)
 		if i < 0 {
 			// Every child centroid is +Inf or NaN away: the sums
@@ -357,7 +347,6 @@ func (t *Tree) insertTop(pl *payload) {
 		nd = nd.children[i]
 	}
 	addSummary(nd.summary, pl.own)
-	t.work += int64(len(nd.entries))*int64(t.dims) + int64(t.totalDims)
 	left, right := t.insertLeaf(nd, pl)
 
 	for k := len(t.path) - 1; k >= 0; k-- {

@@ -145,12 +145,11 @@ func (ing *ingester) add(tuple []float64) error {
 // which defers each tuple's cross-group sum updates into one contiguous
 // pass per same-cluster run. With Workers <= 1 the caller projects each
 // tuple once into a reused batch buffer and feeds all trees inline. With
-// more workers the scan becomes the load-balanced pipeline
-// (ingestPipeline): recycled batches fan out to per-lane tree workers,
-// lanes own deterministically assigned tree subsets, and spare workers
-// parallelize projection — every tree still sees every tuple in scan
-// order, so the result is bit-identical to the serial scan at any
-// worker count.
+// more workers the scan becomes the lane pipeline (ingestPipeline): the
+// caller projects tuples into recycled batches that fan out to
+// Workers−1 lanes (at most one per tree), lane l owning the trees
+// {g ≡ l mod lanes} — every tree still sees every tuple in scan order,
+// so the result is bit-identical to the serial scan at any worker count.
 func (ing *ingester) addSource(rel relation.Source) error {
 	if ing.opt.Workers <= 1 {
 		stride := len(ing.row)

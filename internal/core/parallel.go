@@ -61,46 +61,22 @@ func parallelFor(workers, n int, fn func(i int)) {
 // in-flight batches stay cache- and memory-cheap.
 const batchTuples = 256
 
-// calibrationBatches is how many batches run under the initial stripe
-// assignment before the pipeline rebalances trees across lanes. By then
-// every tree's deterministic work counter reflects the data's real
-// per-group cost (tree depth, cluster counts, rebuild pressure), and
-// 8×256 tuples is a negligible fraction of any workload worth
-// parallelizing.
-const calibrationBatches = 8
-
-// maxProjHelpers caps the projection helper pool: past a few helpers the
-// per-batch chunk handoff overhead beats the projection work saved.
-const maxProjHelpers = 4
-
 // tupleBatch is one unit of pipeline work: up to batchTuples flat
-// projection rows, written by the reader stage (and, with helpers, the
-// projection pool) and read by every lane. raw holds the unprojected
-// tuples when projection is offloaded; both arrays are arenas recycled
-// for the whole ingest. assign is the lane assignment in force when the
-// batch was flushed — batches carry it so a rebalance can never apply to
-// a batch already in flight. pending counts the lanes still consuming
-// the batch; the last one to finish recycles it to the free pool (the
-// atomic decrement plus the channel send order the lanes' reads before
-// the reader's next writes).
+// projection rows, written by the reader stage and read by every lane.
+// rows is an arena recycled for the whole ingest. pending counts the
+// lanes still consuming the batch; the last one to finish recycles it
+// to the free pool (the atomic decrement plus the channel send order the
+// lanes' reads before the reader's next writes).
 type tupleBatch struct {
-	raw     []float64 // n raw tuples of width floats each (helper mode)
 	rows    []float64 // n rows of stride floats each
 	n       int
-	assign  [][]int // assign[l] lists the tree indices lane l applies
 	pending atomic.Int32
 }
 
-// projChunk is one projection task: rows [lo, hi) of batch b, projected
-// from b.raw into b.rows by a helper goroutine.
-type projChunk struct {
-	b      *tupleBatch
-	lo, hi int
-}
-
-// stripeAssignment is the calibration-phase lane assignment: lane l owns
-// {g : g ≡ l (mod lanes)}, the fixed stripe the pipeline always starts
-// from (and, pre-rebalance, exactly what it runs).
+// stripeAssignment is the pipeline's lane assignment: lane l owns the
+// trees {g : g ≡ l (mod lanes)} for the whole ingest. Which lane runs a
+// tree moves only wall-clock time — every tree still sees every batch in
+// scan order — so any assignment gives bit-identical output.
 func stripeAssignment(trees, lanes int) [][]int {
 	assign := make([][]int, lanes)
 	for l := 0; l < lanes; l++ {
@@ -111,103 +87,24 @@ func stripeAssignment(trees, lanes int) [][]int {
 	return assign
 }
 
-// balanceAssignment packs trees onto lanes by measured cost: longest-
-// processing-time greedy — heaviest tree first onto the least-loaded
-// lane, ties broken by lower index on both sides, each lane's list kept
-// in ascending tree order. The inputs are deterministic (cftree work
-// counters are pure functions of the data), so the assignment is too;
-// and because every tree still sees every batch in scan order on
-// whichever lane owns it, the pipeline's output is bit-identical under
-// ANY assignment — balance only moves wall-clock, never bytes.
-func balanceAssignment(costs []int64, lanes int) [][]int {
-	order := make([]int, len(costs))
-	for g := range order {
-		order[g] = g
-	}
-	// Insertion sort by cost descending, index ascending on ties: tree
-	// counts are small (one per attribute group) and the sort must be
-	// stable-deterministic.
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0; j-- {
-			a, b := order[j-1], order[j]
-			if costs[b] > costs[a] || (costs[b] == costs[a] && b < a) {
-				order[j-1], order[j] = b, a
-				continue
-			}
-			break
-		}
-	}
-	assign := make([][]int, lanes)
-	load := make([]int64, lanes)
-	for _, g := range order {
-		best := 0
-		for l := 1; l < lanes; l++ {
-			if load[l] < load[best] {
-				best = l
-			}
-		}
-		assign[best] = append(assign[best], g)
-		load[best] += costs[g]
-	}
-	for _, lane := range assign {
-		// Ascending order within the lane: processing order across
-		// *different* trees is unobservable, but a canonical order keeps
-		// runs reproducible for debugging.
-		for i := 1; i < len(lane); i++ {
-			for j := i; j > 0 && lane[j] < lane[j-1]; j-- {
-				lane[j], lane[j-1] = lane[j-1], lane[j]
-			}
-		}
-	}
-	return assign
-}
-
-// disableLaneBalance pins the pipeline to the stripe assignment for the
-// whole ingest. Test hook only: the differential suite proves balanced
-// and stripe runs produce bit-identical summaries.
-var disableLaneBalance = false
-
 // ingestPipeline is the parallel Phase I scan: ONE pass over rel, batched
 // and fanned out. The caller acts as the reader stage — it scans the
-// relation, fills recycled batches and broadcasts them to lane workers
-// over per-lane channels; lane l applies each batch to the trees its
-// assignment lists, whole-batch per tree (cftree.InsertFlatBatch), so
-// each tree performs exactly the serial insert sequence and the result
-// is bit-identical to the serial scan at any worker count.
+// relation, projects each tuple into a recycled batch and broadcasts
+// full batches to lane workers over per-lane channels. Lane l applies
+// each batch to its stripe of trees {g ≡ l mod lanes}, whole-batch per
+// tree (cftree.InsertFlatBatch), so each tree performs exactly the
+// serial insert sequence and the result is bit-identical to the serial
+// scan at any worker count.
 //
-// Two mechanisms keep the cores busy:
-//
-//   - Load-balanced lanes. The first calibrationBatches batches run on
-//     the fixed stripe {g ≡ l mod lanes}; the reader then drains the
-//     batch pool (a barrier that proves every lane is idle), reads each
-//     tree's deterministic work counter, computes a longest-processing-
-//     time assignment and uses it for the rest of the ingest. Costs are
-//     pure functions of the data, so the assignment — and therefore the
-//     whole run — is reproducible; and since any assignment yields
-//     bit-identical output, the differential suite can pin balanced
-//     against stripe directly.
-//
-//   - Parallel projection. When the worker budget exceeds what the lanes
-//     can use (more workers than trees), the spare workers form a
-//     projection pool: the reader copies raw tuples into the batch's raw
-//     arena and the pool projects chunks of the batch into flat rows
-//     concurrently, acking before the broadcast, so a single reader
-//     goroutine no longer caps wide-schema ingest. With no spare
-//     workers the reader projects inline, exactly as before.
-//
-// Batches and their row/raw arenas are recycled through the free pool
-// for the whole ingest (lanes+2 of them: double buffering plus skew
+// Batches and their row arenas are recycled through the free pool for
+// the whole ingest (lanes+2 of them: double buffering plus skew
 // absorption), so steady-state ingest performs no per-batch allocation.
 //
 // This function hosts the pipeline's goroutines; darlint's rawgoroutine
 // rule confines goroutine creation to this file.
 func ingestPipeline(rel relation.Source, workers, stride int, trees []*cftree.Tree, project func(tuple, row []float64)) error {
 	lanes := clampWorkers(workers-1, len(trees))
-	helpers := workers - 1 - lanes
-	if helpers > maxProjHelpers {
-		helpers = maxProjHelpers
-	}
-	width := rel.Schema().Width()
+	assign := stripeAssignment(len(trees), lanes)
 
 	chans := make([]chan *tupleBatch, lanes)
 	for l := range chans {
@@ -219,11 +116,7 @@ func ingestPipeline(rel relation.Source, workers, stride int, trees []*cftree.Tr
 	}
 	free := make(chan *tupleBatch, numBatches)
 	for i := 0; i < numBatches; i++ {
-		b := &tupleBatch{rows: make([]float64, batchTuples*stride)}
-		if helpers > 0 {
-			b.raw = make([]float64, batchTuples*width)
-		}
-		free <- b
+		free <- &tupleBatch{rows: make([]float64, batchTuples*stride)}
 	}
 
 	var wg sync.WaitGroup
@@ -232,7 +125,7 @@ func ingestPipeline(rel relation.Source, workers, stride int, trees []*cftree.Tr
 		go func(l int) {
 			defer wg.Done()
 			for b := range chans[l] {
-				for _, g := range b.assign[l] {
+				for _, g := range assign[l] {
 					trees[g].InsertFlatBatch(b.rows, b.n, stride)
 				}
 				if b.pending.Add(-1) == 0 {
@@ -242,83 +135,17 @@ func ingestPipeline(rel relation.Source, workers, stride int, trees []*cftree.Tr
 		}(l)
 	}
 
-	var projCh chan projChunk
-	var ack chan struct{}
-	if helpers > 0 {
-		projCh = make(chan projChunk, helpers)
-		ack = make(chan struct{}, helpers)
-		for h := 0; h < helpers; h++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for c := range projCh {
-					for i := c.lo; i < c.hi; i++ {
-						project(c.b.raw[i*width:(i+1)*width], c.b.rows[i*stride:(i+1)*stride])
-					}
-					ack <- struct{}{}
-				}
-			}()
-		}
-	}
-
-	assign := stripeAssignment(len(trees), lanes)
-	// rebalance is the one moment the pipeline synchronizes: reclaiming
-	// every batch from the free pool blocks until all flushed batches are
-	// fully applied, so the lanes are provably idle and the work counters
-	// stable when read.
-	rebalance := func() {
-		held := make([]*tupleBatch, numBatches)
-		for i := range held {
-			held[i] = <-free
-		}
-		costs := make([]int64, len(trees))
-		for g, tr := range trees {
-			costs[g] = tr.Work()
-		}
-		assign = balanceAssignment(costs, lanes)
-		for _, b := range held {
-			free <- b
-		}
-	}
-
-	flushed := 0
 	flush := func(b *tupleBatch) {
-		if helpers > 0 {
-			// Fan the batch's projection out: helpers+1 near-equal chunks,
-			// the reader keeping the last so it works instead of waiting.
-			per := (b.n + helpers) / (helpers + 1)
-			sent, lo := 0, 0
-			for h := 0; h < helpers && lo+per < b.n; h++ {
-				projCh <- projChunk{b, lo, lo + per}
-				sent++
-				lo += per
-			}
-			for i := lo; i < b.n; i++ {
-				project(b.raw[i*width:(i+1)*width], b.rows[i*stride:(i+1)*stride])
-			}
-			for ; sent > 0; sent-- {
-				<-ack
-			}
-		}
-		b.assign = assign
 		b.pending.Store(int32(lanes))
 		for _, ch := range chans {
 			ch <- b
-		}
-		flushed++
-		if flushed == calibrationBatches && lanes > 1 && !disableLaneBalance {
-			rebalance()
 		}
 	}
 
 	cur := <-free
 	cur.n = 0
 	err := rel.Scan(func(_ int, tuple []float64) error {
-		if helpers > 0 {
-			copy(cur.raw[cur.n*width:(cur.n+1)*width], tuple)
-		} else {
-			project(tuple, cur.rows[cur.n*stride:(cur.n+1)*stride])
-		}
+		project(tuple, cur.rows[cur.n*stride:(cur.n+1)*stride])
 		cur.n++
 		if cur.n == batchTuples {
 			flush(cur)
@@ -332,9 +159,6 @@ func ingestPipeline(rel relation.Source, workers, stride int, trees []*cftree.Tr
 	}
 	for _, ch := range chans {
 		close(ch)
-	}
-	if projCh != nil {
-		close(projCh)
 	}
 	wg.Wait()
 	return err

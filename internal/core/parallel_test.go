@@ -157,12 +157,15 @@ func TestWorkersValidation(t *testing.T) {
 	}
 }
 
-// TestBalancedLanesMatchStripe pins the load-balanced lane assignment
-// against the fixed stripe it replaced: identical relations ingested at
-// Workers ∈ {1, 2, 4, 8} across several seeds, with balancing on and
-// forced off, must encode to byte-identical summaries. Lane assignment
-// only chooses WHERE a tree's inserts run, never what they are.
-func TestBalancedLanesMatchStripe(t *testing.T) {
+// TestLanesMatchSerial is the byte differential for the Phase I lane
+// pipeline: identical relations ingested at Workers ∈ {2, 3, 4, 6, 8}
+// across several seeds must encode to the same summary bytes as the
+// serial scan. The relation has 5 attribute groups, so Workers=2 runs
+// one lane, 3 and 4 split the groups unevenly (3+2, then 2+2+1), and 6
+// and 8 give every group a lane of its own, 8 with workers to spare.
+// Lane assignment only chooses WHERE a tree's inserts run, never what
+// they are.
+func TestLanesMatchSerial(t *testing.T) {
 	for _, seed := range []int64{5, 23, 61} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
@@ -188,16 +191,14 @@ func TestBalancedLanesMatchStripe(t *testing.T) {
 			}
 			part := relation.SingletonPartitioning(schema)
 
-			encode := func(workers int, stripe bool) []byte {
-				disableLaneBalance = stripe
-				defer func() { disableLaneBalance = false }()
+			encode := func(workers int) []byte {
 				o := DefaultOptions()
 				o.DiameterThreshold = 5
 				o.FrequencyFraction = 0.02
 				o.Workers = workers
 				s, err := Ingest(rel, part, o)
 				if err != nil {
-					t.Fatalf("Ingest(workers=%d, stripe=%v): %v", workers, stripe, err)
+					t.Fatalf("Ingest(workers=%d): %v", workers, err)
 				}
 				data, err := summary.Encode(s)
 				if err != nil {
@@ -206,58 +207,13 @@ func TestBalancedLanesMatchStripe(t *testing.T) {
 				return data
 			}
 
-			want := encode(1, false)
-			for _, workers := range []int{2, 4, 8} {
-				if got := encode(workers, true); !bytes.Equal(want, got) {
-					t.Fatalf("workers=%d stripe: summary bytes diverged from serial", workers)
-				}
-				if got := encode(workers, false); !bytes.Equal(want, got) {
-					t.Fatalf("workers=%d balanced: summary bytes diverged from serial", workers)
+			want := encode(1)
+			for _, workers := range []int{2, 3, 4, 6, 8} {
+				if got := encode(workers); !bytes.Equal(want, got) {
+					t.Fatalf("workers=%d: summary bytes diverged from serial", workers)
 				}
 			}
 		})
-	}
-}
-
-// TestBalanceAssignment pins the LPT packing: deterministic, complete
-// (every tree on exactly one lane), ascending within lanes, and actually
-// balanced on a skewed cost vector where the stripe is pathological.
-func TestBalanceAssignment(t *testing.T) {
-	// LPT: 100 alone on one lane, 90+1+1+1+1=94 packed opposite.
-	costs := []int64{100, 1, 1, 90, 1, 1}
-	got := balanceAssignment(costs, 2)
-	want := [][]int{{0}, {1, 2, 3, 4, 5}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("balanceAssignment = %v, want %v", got, want)
-	}
-	// The worst stripe case: all heavy trees congruent mod lanes — the
-	// stripe would put all four 100s on lane 0 (400 vs 4); LPT splits
-	// them two and two.
-	costs = []int64{100, 1, 100, 1, 100, 1, 100, 1}
-	got = balanceAssignment(costs, 2)
-	seen := map[int]bool{}
-	var loads [2]int64
-	for l, lane := range got {
-		for i, g := range lane {
-			if seen[g] {
-				t.Fatalf("tree %d assigned twice: %v", g, got)
-			}
-			seen[g] = true
-			if i > 0 && lane[i-1] > g {
-				t.Fatalf("lane %d not ascending: %v", l, lane)
-			}
-			loads[l] += costs[g]
-		}
-	}
-	if len(seen) != len(costs) {
-		t.Fatalf("not all trees assigned: %v", got)
-	}
-	if loads[0] != loads[1] {
-		t.Errorf("LPT left skew on balanceable input: loads %v for %v", loads, got)
-	}
-	// Determinism: same input, same output.
-	if again := balanceAssignment(costs, 2); !reflect.DeepEqual(got, again) {
-		t.Errorf("balanceAssignment not deterministic: %v vs %v", got, again)
 	}
 }
 

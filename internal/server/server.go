@@ -272,11 +272,85 @@ func (s *Server) pathName(w http.ResponseWriter, r *http.Request) (string, bool)
 	return name, true
 }
 
+// parseIngest reads what both ingest endpoints share: the Phase I
+// options in the query string (d0, memory, workers, groups) and the CSV
+// body, which errors call what. pinned, when non-nil, are per-group
+// thresholds that override d0; otherwise d0=0 derives per-group
+// thresholds from the data, exactly like the CLI. On failure it has
+// written the error response and returns ok=false.
+func (s *Server) parseIngest(w http.ResponseWriter, r *http.Request, what string, pinned []float64) (rel *relation.Relation, part *relation.Partitioning, opt core.Options, ok bool) {
+	q := r.URL.Query()
+	var d0 float64
+	var memory int
+	var err error
+	if v := q.Get("d0"); v != "" {
+		if d0, err = strconv.ParseFloat(v, 64); err != nil {
+			s.writeError(w, http.StatusBadRequest, "bad d0 %q: %v", v, err)
+			return nil, nil, opt, false
+		}
+	}
+	if v := q.Get("memory"); v != "" {
+		if memory, err = strconv.Atoi(v); err != nil {
+			s.writeError(w, http.StatusBadRequest, "bad memory %q: %v", v, err)
+			return nil, nil, opt, false
+		}
+	}
+	// Absent workers means "use the machine": the parallel pipeline is
+	// bit-identical to serial at any worker count, so defaulting to all
+	// cores changes latency only; ?workers=1 still forces the serial
+	// path. A larger count is clamped to GOMAXPROCS, which for the same
+	// reason changes no result byte: the pipeline sizes its goroutines
+	// and batch arenas by its lane count (up to one lane per attribute
+	// group), so an unbounded count would let one request commit memory
+	// that grows with the square of the column count before it reads a
+	// row.
+	workers := runtime.GOMAXPROCS(0)
+	if v := q.Get("workers"); v != "" {
+		n, err := strconv.Atoi(v)
+		if err != nil {
+			s.writeError(w, http.StatusBadRequest, "bad workers %q: %v", v, err)
+			return nil, nil, opt, false
+		}
+		workers = min(n, workers)
+	}
+
+	body, ok := s.readBody(w, r, s.cfg.MaxIngestBytes)
+	if !ok {
+		return nil, nil, opt, false
+	}
+	rel, _, err = relation.ParseCSV(body)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, "parsing CSV %s: %v", what, err)
+		return nil, nil, opt, false
+	}
+	part, err = relation.ParseGroupsSpec(rel.Schema(), q.Get("groups"))
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, "%v", err)
+		return nil, nil, opt, false
+	}
+
+	opt = core.DefaultOptions()
+	opt.DiameterThreshold = d0
+	opt.MemoryLimit = memory
+	opt.Workers = workers
+	switch {
+	case pinned != nil:
+		opt.DiameterThresholds = pinned
+	case d0 == 0:
+		suggested, err := core.SuggestThresholds(rel, part, core.AdvisorOptions{})
+		if err != nil {
+			s.writeError(w, http.StatusBadRequest, "deriving thresholds: %v", err)
+			return nil, nil, opt, false
+		}
+		opt.DiameterThresholds = suggested
+	}
+	return rel, part, opt, true
+}
+
 // handleIngest streams a CSV relation through the shared Phase I
 // ingester and installs the resulting summary in the catalog under
 // ?name=. Ingest-time options ride in the query string (d0, memory,
-// workers, groups), mirroring `darminer ingest`; d0=0 derives per-group
-// thresholds from the data, exactly like the CLI.
+// workers, groups), mirroring `darminer ingest`; see parseIngest.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.metrics.IngestRequests.Add(1)
 	name := r.URL.Query().Get("name")
@@ -284,58 +358,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "ingest needs ?name= matching %s", summaryName)
 		return
 	}
-	var d0 float64
-	var memory, workers int
-	var err error
-	if v := r.URL.Query().Get("d0"); v != "" {
-		if d0, err = strconv.ParseFloat(v, 64); err != nil {
-			s.writeError(w, http.StatusBadRequest, "bad d0 %q: %v", v, err)
-			return
-		}
-	}
-	if v := r.URL.Query().Get("memory"); v != "" {
-		if memory, err = strconv.Atoi(v); err != nil {
-			s.writeError(w, http.StatusBadRequest, "bad memory %q: %v", v, err)
-			return
-		}
-	}
-	// Absent workers means "use the machine": the parallel pipeline is
-	// bit-identical to serial at any worker count, so defaulting to all
-	// cores changes latency only. ?workers=1 still forces the serial path.
-	workers = runtime.GOMAXPROCS(0)
-	if v := r.URL.Query().Get("workers"); v != "" {
-		if workers, err = strconv.Atoi(v); err != nil {
-			s.writeError(w, http.StatusBadRequest, "bad workers %q: %v", v, err)
-			return
-		}
-	}
-
-	body, ok := s.readBody(w, r, s.cfg.MaxIngestBytes)
+	rel, part, opt, ok := s.parseIngest(w, r, "relation", nil)
 	if !ok {
 		return
-	}
-	rel, _, err := relation.ParseCSV(body)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "parsing CSV relation: %v", err)
-		return
-	}
-	part, err := relation.ParseGroupsSpec(rel.Schema(), r.URL.Query().Get("groups"))
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-
-	opt := core.DefaultOptions()
-	opt.DiameterThreshold = d0
-	opt.MemoryLimit = memory
-	opt.Workers = workers
-	if d0 == 0 {
-		suggested, err := core.SuggestThresholds(rel, part, core.AdvisorOptions{})
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, "deriving thresholds: %v", err)
-			return
-		}
-		opt.DiameterThresholds = suggested
 	}
 	sum, err := core.Ingest(rel, part, opt)
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -702,6 +703,60 @@ func TestIngestDefaultWorkers(t *testing.T) {
 	}
 	if got, want := string(stripDurations(def)), string(stripDurations(ser)); got != want {
 		t.Errorf("defaulted-workers ingest diverges from workers=1\ndefault:\n%s\nserial:\n%s", got, want)
+	}
+}
+
+// TestIngestWorkersClamped pins the upper bound on ?workers= at both
+// ingest endpoints: the lane pipeline sizes its batch arenas by lane
+// count — up to one lane per attribute group, each batch one row per
+// group wide — so without the clamp a client would size one request's
+// memory. Unclamped, workers=1000000 on this 200-column body would
+// allocate about 3× what the default request does and start a
+// goroutine per column, so keep the body narrow.
+func TestIngestWorkersClamped(t *testing.T) {
+	srv, _ := newTestServer(t, Config{})
+	h := srv.Handler()
+	const cols, rows = 200, 20
+	var b bytes.Buffer
+	for c := 0; c < cols; c++ {
+		if c > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "c%d:interval", c)
+	}
+	b.WriteByte('\n')
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < rows; i++ {
+		for c := 0; c < cols; c++ {
+			if c > 0 {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, "%d", rng.Intn(100))
+		}
+		b.WriteByte('\n')
+	}
+	body := b.Bytes()
+
+	alloc := func(url string) uint64 {
+		req := httptest.NewRequest(http.MethodPost, url, bytes.NewReader(body))
+		rec := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		h.ServeHTTP(rec, req)
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("POST %s: status %d: %s", url, rec.Code, rec.Body)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for _, u := range []string{"/v1/ingest?name=wide&d0=1", "/v1/ingest/shard?d0=1"} {
+		alloc(u) // warm-up
+		def := alloc(u)
+		huge := alloc(u + "&workers=1000000")
+		t.Logf("POST %s: default %d B, workers=1000000 %d B", u, def, huge)
+		if float64(huge) > 1.25*float64(def) {
+			t.Errorf("POST %s: workers=1000000 allocated %d B, default %d B; want at most 1.25×", u, huge, def)
+		}
 	}
 }
 

@@ -3,12 +3,10 @@ package server
 import (
 	"errors"
 	"net/http"
-	"runtime"
 	"strconv"
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/relation"
 	"repro/internal/summary"
 )
 
@@ -36,64 +34,16 @@ import (
 // encoded summary as the response body.
 func (s *Server) handleShardIngest(w http.ResponseWriter, r *http.Request) {
 	s.metrics.ShardIngestRequests.Add(1)
-	var d0 float64
-	var memory, workers int
-	var err error
-	if v := r.URL.Query().Get("d0"); v != "" {
-		if d0, err = strconv.ParseFloat(v, 64); err != nil {
-			s.writeError(w, http.StatusBadRequest, "bad d0 %q: %v", v, err)
-			return
-		}
-	}
 	d0s, err := parseD0s(r.URL.Query().Get("d0s"))
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if v := r.URL.Query().Get("memory"); v != "" {
-		if memory, err = strconv.Atoi(v); err != nil {
-			s.writeError(w, http.StatusBadRequest, "bad memory %q: %v", v, err)
-			return
-		}
-	}
-	workers = runtime.GOMAXPROCS(0)
-	if v := r.URL.Query().Get("workers"); v != "" {
-		if workers, err = strconv.Atoi(v); err != nil {
-			s.writeError(w, http.StatusBadRequest, "bad workers %q: %v", v, err)
-			return
-		}
-	}
-
-	body, ok := s.readBody(w, r, s.cfg.MaxIngestBytes)
+	// Without ?d0s= the thresholds follow ?d0= as on /v1/ingest; that is
+	// standalone use only — a cluster coordinator always pins ?d0s=.
+	rel, part, opt, ok := s.parseIngest(w, r, "shard", d0s)
 	if !ok {
 		return
-	}
-	rel, _, err := relation.ParseCSV(body)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "parsing CSV shard: %v", err)
-		return
-	}
-	part, err := relation.ParseGroupsSpec(rel.Schema(), r.URL.Query().Get("groups"))
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-
-	opt := core.DefaultOptions()
-	opt.DiameterThreshold = d0
-	opt.MemoryLimit = memory
-	opt.Workers = workers
-	switch {
-	case d0s != nil:
-		opt.DiameterThresholds = d0s
-	case d0 == 0:
-		// Standalone use only — a cluster coordinator always pins ?d0s=.
-		suggested, err := core.SuggestThresholds(rel, part, core.AdvisorOptions{})
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, "deriving thresholds: %v", err)
-			return
-		}
-		opt.DiameterThresholds = suggested
 	}
 	sum, err := core.Ingest(rel, part, opt)
 	if err != nil {
