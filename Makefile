@@ -1,7 +1,8 @@
 # Build/verify entry points. `make verify` is the CI gate: a clean
 # build, gofmt/go vet hygiene, the full test suite, and the same suite
 # under the race detector (the parallel Phase I/II paths must stay
-# race-free). `make lint` runs darlint, the custom go/analysis suite in
+# race-free), with the Phase I lane differential also raced at several
+# GOMAXPROCS values (`make lanediff`). `make lint` runs darlint, the custom go/analysis suite in
 # internal/lint that enforces the determinism & concurrency invariants
 # (map-order leaks, wall-clock/rand/env in result paths, unsanctioned
 # goroutines, atomic/plain access mixes) and the serving-era invariants
@@ -18,7 +19,7 @@
 GO ?= go
 BIN := bin
 
-.PHONY: build test race fuzz fuzzsmoke querydiff perfbenchtest perfsmoke bench fmtcheck vet lint lintjson lintbudget darlint serversmoke storagesmoke clustersmoke crashsuite verify
+.PHONY: build test race lanediff fuzz fuzzsmoke querydiff perfbenchtest perfsmoke bench fmtcheck vet lint lintjson lintbudget darlint serversmoke storagesmoke clustersmoke crashsuite verify
 
 build:
 	$(GO) build ./...
@@ -59,6 +60,14 @@ lintjson: darlint
 # one must lower the budget with it.
 lintbudget: darlint
 	./$(BIN)/darlint -budget lint_budget.json -exact
+
+# The Phase I lane differential under the race detector at GOMAXPROCS
+# 1, 2 and 4: the calling goroutine inserts its own stripe of trees
+# while the lanes it spawned insert theirs, and summary bytes at every
+# Workers count must equal the one-lane scan's. race alone checks only
+# the runner's own core count.
+lanediff:
+	$(GO) test -race -cpu 1,2,4 -run 'TestLanesMatchSerial|TestLaneGoroutines|TestParallelPhaseIMatchesSerial|TestPipelineSteadyStateAllocs|TestStripeAssignment' ./internal/core
 
 # Short fuzz sessions for the ingestion paths; extend -fuzztime for a
 # real campaign.
@@ -144,4 +153,4 @@ crashsuite:
 # live in the ordinary test suite), so verify gates Query(Ingest(r)) ≡
 # Mine(r) under the race detector on every run, and storagesmoke gates
 # the durability story over the real binaries.
-verify: build fmtcheck vet lint lintbudget test race fuzzsmoke querydiff perfbenchtest storagesmoke
+verify: build fmtcheck vet lint lintbudget test race lanediff fuzzsmoke querydiff perfbenchtest storagesmoke

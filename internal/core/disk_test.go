@@ -97,8 +97,8 @@ func TestMineScanCountMatchesPaper(t *testing.T) {
 }
 
 // Parallel mining over a disk-backed source: the batched ingest pipeline
-// keeps Phase I at ONE scan regardless of worker count (the reader stage
-// projects once and broadcasts batches to the tree lanes), so the total
+// keeps Phase I at ONE scan regardless of worker count (the scanning
+// goroutine projects once and hands batches to the other lanes), so the total
 // is the single Phase I pass plus the two descriptive rescans — the same
 // IO as serial mining, unlike the old group-parallel mode that re-read
 // the relation once per attribute group. The result still matches the

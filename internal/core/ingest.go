@@ -139,46 +139,17 @@ func (ing *ingester) add(tuple []float64) error {
 	return nil
 }
 
-// addSource scans an entire relation into the trees — one scan in every
-// mode, preserving the paper's single-scan IO property. Both paths run
-// tuples through the batched insert kernel (cftree.InsertFlatBatch),
-// which defers each tuple's cross-group sum updates into one contiguous
-// pass per same-cluster run. With Workers <= 1 the caller projects each
-// tuple once into a reused batch buffer and feeds all trees inline. With
-// more workers the scan becomes the lane pipeline (ingestPipeline): the
-// caller projects tuples into recycled batches that fan out to
-// Workers−1 lanes (at most one per tree), lane l owning the trees
-// {g ≡ l mod lanes} — every tree still sees every tuple in scan order,
-// so the result is bit-identical to the serial scan at any worker count.
+// addSource scans an entire relation into the trees — one scan at any
+// worker count, preserving the paper's single-scan IO property. The scan
+// is the lane pipeline (ingestPipeline): the caller projects each tuple
+// once into a recycled batch and inserts every batch into its own stripe
+// of trees while min(Workers, groups) − 1 spawned lanes insert the rest;
+// with one lane the caller feeds every tree. Each batch goes through the
+// batched insert kernel (cftree.InsertFlatBatch), which defers each
+// tuple's cross-group sum updates into one contiguous pass per
+// same-cluster run. Every tree still sees every tuple in scan order, so
+// the result is bit-identical at any worker count.
 func (ing *ingester) addSource(rel relation.Source) error {
-	if ing.opt.Workers <= 1 {
-		stride := len(ing.row)
-		rows := make([]float64, batchTuples*stride)
-		n := 0
-		flush := func() {
-			for g := range ing.trees {
-				ing.trees[g].InsertFlatBatch(rows, n, stride)
-			}
-			n = 0
-		}
-		err := rel.Scan(func(_ int, tuple []float64) error {
-			ing.projectRow(tuple, rows[n*stride:(n+1)*stride])
-			n++
-			if n == batchTuples {
-				flush()
-			}
-			return nil
-		})
-		if err != nil {
-			return fmt.Errorf("core: phase I scan: %w", err)
-		}
-		if n > 0 {
-			flush()
-		}
-		ing.seen += rel.Len()
-		return nil
-	}
-
 	if err := ingestPipeline(rel, ing.opt.Workers, len(ing.row), ing.trees, ing.projectRow); err != nil {
 		return fmt.Errorf("core: phase I scan: %w", err)
 	}

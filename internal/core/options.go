@@ -86,18 +86,19 @@ type Options struct {
 	PageOutliers bool
 
 	// Workers sets mining parallelism for both phases. 0 or 1 keeps the
-	// paper's fully serial execution. Higher values turn Phase I into a
-	// batched pipeline — the reader stage scans the relation ONCE,
-	// projects every tuple into a flat row, and broadcasts tuple batches
-	// over channels to tree-lane workers, each owning a deterministic
-	// stripe of the attribute-group trees — and fan Phase II out over
-	// the sanctioned pool: clustering-graph rows, maximal-clique roots,
-	// and per-clique assoc()/rule formation all run as independent tasks
-	// whose results are merged in task order. The mined output —
-	// clusters, rules, degrees, supports, ordering — is bit-identical to
-	// the serial path at every worker count, and Phase I keeps the
-	// paper's single-scan IO behaviour in every mode (the old
-	// group-parallel mode re-read the relation once per group).
+	// paper's fully serial execution. Phase I scans the relation ONCE,
+	// projects every tuple into a flat row and inserts tuple batches
+	// into min(Workers, groups) lanes, each owning a deterministic
+	// stripe of the attribute-group trees; the scanning goroutine is
+	// lane 0, so Workers = w starts at most w − 1 goroutines and one
+	// lane is the serial scan. Phase II fans out over the sanctioned
+	// pool: clustering-graph rows, maximal-clique roots, and per-clique
+	// assoc()/rule formation all run as independent tasks whose results
+	// are merged in task order. The mined output — clusters, rules,
+	// degrees, supports, ordering — is bit-identical to the serial path
+	// at every worker count, and Phase I keeps the paper's single-scan
+	// IO behaviour in every mode (the old group-parallel mode re-read
+	// the relation once per group).
 	Workers int
 
 	// PostScan enables the optional post-processing pass of Section 6.2:

@@ -62,11 +62,11 @@ func parallelFor(workers, n int, fn func(i int)) {
 const batchTuples = 256
 
 // tupleBatch is one unit of pipeline work: up to batchTuples flat
-// projection rows, written by the reader stage and read by every lane.
-// rows is an arena recycled for the whole ingest. pending counts the
-// lanes still consuming the batch; the last one to finish recycles it
-// to the free pool (the atomic decrement plus the channel send order the
-// lanes' reads before the reader's next writes).
+// projection rows, written by the scanning caller and read by every
+// lane. rows is an arena recycled for the whole ingest. pending counts
+// the lanes still consuming the batch; the last one to finish recycles
+// it to the free pool (the atomic decrement plus the channel send order
+// the lanes' reads before the caller's next writes).
 type tupleBatch struct {
 	rows    []float64 // n rows of stride floats each
 	n       int
@@ -87,52 +87,58 @@ func stripeAssignment(trees, lanes int) [][]int {
 	return assign
 }
 
-// ingestPipeline is the parallel Phase I scan: ONE pass over rel, batched
-// and fanned out. The caller acts as the reader stage — it scans the
-// relation, projects each tuple into a recycled batch and broadcasts
-// full batches to lane workers over per-lane channels. Lane l applies
-// each batch to its stripe of trees {g ≡ l mod lanes}, whole-batch per
-// tree (cftree.InsertFlatBatch), so each tree performs exactly the
-// serial insert sequence and the result is bit-identical to the serial
-// scan at any worker count.
+// ingestPipeline is the Phase I scan: ONE pass over rel, batched and
+// striped over lanes = min(workers, trees) insert lanes. The caller is
+// lane 0: it scans the relation, projects each tuple into a recycled
+// batch, hands every full batch to lanes 1…lanes−1 over per-lane
+// channels and then inserts it into its own stripe. Lane l applies each
+// batch to the trees {g ≡ l mod lanes}, whole batch per tree
+// (cftree.InsertFlatBatch), so each tree performs exactly the serial
+// insert sequence and the result is bit-identical at any worker count.
+// With one lane no goroutine starts and the caller inserts every tree:
+// that is the serial scan.
 //
 // Batches and their row arenas are recycled through the free pool for
-// the whole ingest (lanes+2 of them: double buffering plus skew
-// absorption), so steady-state ingest performs no per-batch allocation.
+// the whole ingest, so steady-state ingest performs no per-batch
+// allocation. The caller fills one batch while each spawned lane holds
+// at most two (one inserting, one queued in its channel), and every
+// lane takes the batches in the same order, so three batches keep the
+// scan from ever waiting on the pool; one lane needs just one.
 //
 // This function hosts the pipeline's goroutines; darlint's rawgoroutine
 // rule confines goroutine creation to this file.
 func ingestPipeline(rel relation.Source, workers, stride int, trees []*cftree.Tree, project func(tuple, row []float64)) error {
-	lanes := clampWorkers(workers-1, len(trees))
+	lanes := clampWorkers(workers, len(trees))
 	assign := stripeAssignment(len(trees), lanes)
 
-	chans := make([]chan *tupleBatch, lanes)
-	for l := range chans {
-		chans[l] = make(chan *tupleBatch, 1)
-	}
-	numBatches := lanes + 2
-	if numBatches < 4 {
-		numBatches = 4
+	numBatches := 1
+	if lanes > 1 {
+		numBatches = 3
 	}
 	free := make(chan *tupleBatch, numBatches)
 	for i := 0; i < numBatches; i++ {
 		free <- &tupleBatch{rows: make([]float64, batchTuples*stride)}
 	}
+	insert := func(b *tupleBatch, l int) {
+		for _, g := range assign[l] {
+			trees[g].InsertFlatBatch(b.rows, b.n, stride)
+		}
+		if b.pending.Add(-1) == 0 {
+			free <- b
+		}
+	}
 
+	chans := make([]chan *tupleBatch, lanes-1) // lane l reads chans[l-1]
 	var wg sync.WaitGroup
-	for l := 0; l < lanes; l++ {
+	for i := range chans {
+		chans[i] = make(chan *tupleBatch, 1)
 		wg.Add(1)
 		go func(l int) {
 			defer wg.Done()
-			for b := range chans[l] {
-				for _, g := range assign[l] {
-					trees[g].InsertFlatBatch(b.rows, b.n, stride)
-				}
-				if b.pending.Add(-1) == 0 {
-					free <- b
-				}
+			for b := range chans[l-1] {
+				insert(b, l)
 			}
-		}(l)
+		}(i + 1)
 	}
 
 	flush := func(b *tupleBatch) {
@@ -140,6 +146,7 @@ func ingestPipeline(rel relation.Source, workers, stride int, trees []*cftree.Tr
 		for _, ch := range chans {
 			ch <- b
 		}
+		insert(b, 0)
 	}
 
 	cur := <-free

@@ -295,15 +295,15 @@ func (s *Server) parseIngest(w http.ResponseWriter, r *http.Request, what string
 			return nil, nil, opt, false
 		}
 	}
-	// Absent workers means "use the machine": the parallel pipeline is
-	// bit-identical to serial at any worker count, so defaulting to all
-	// cores changes latency only; ?workers=1 still forces the serial
-	// path. A larger count is clamped to GOMAXPROCS, which for the same
-	// reason changes no result byte: the pipeline sizes its goroutines
-	// and batch arenas by its lane count (up to one lane per attribute
-	// group), so an unbounded count would let one request commit memory
-	// that grows with the square of the column count before it reads a
-	// row.
+	// Absent workers means "use the machine": Phase I runs
+	// min(workers, groups) insert lanes, the handler's own goroutine
+	// among them, and is bit-identical at any worker count, so defaulting
+	// to all cores changes latency only; ?workers=1 still runs the one-lane
+	// scan. A larger count is clamped to GOMAXPROCS, which for the same
+	// reason changes no result byte: the pipeline spawns one goroutine
+	// per lane beyond the caller's (up to one per attribute group), so an
+	// unbounded count would let one request start a goroutine per column
+	// and run more of them than the machine has cores.
 	workers := runtime.GOMAXPROCS(0)
 	if v := q.Get("workers"); v != "" {
 		n, err := strconv.Atoi(v)

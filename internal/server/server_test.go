@@ -707,12 +707,13 @@ func TestIngestDefaultWorkers(t *testing.T) {
 }
 
 // TestIngestWorkersClamped pins the upper bound on ?workers= at both
-// ingest endpoints: the lane pipeline sizes its batch arenas by lane
-// count — up to one lane per attribute group, each batch one row per
-// group wide — so without the clamp a client would size one request's
-// memory. Unclamped, workers=1000000 on this 200-column body would
-// allocate about 3× what the default request does and start a
-// goroutine per column, so keep the body narrow.
+// ingest endpoints: the lane pipeline spawns min(workers, groups) − 1
+// goroutines (core's TestLaneGoroutines), so without the clamp
+// workers=1000000 on this 200-column body would start 199 goroutines
+// where the default request starts at most GOMAXPROCS − 1. The test
+// checks the worker count parseIngest, shared by both endpoints, hands
+// Phase I, and that such a request allocates within 1.25× of the
+// default one; keep the body narrow.
 func TestIngestWorkersClamped(t *testing.T) {
 	srv, _ := newTestServer(t, Config{})
 	h := srv.Handler()
@@ -757,6 +758,16 @@ func TestIngestWorkersClamped(t *testing.T) {
 		if float64(huge) > 1.25*float64(def) {
 			t.Errorf("POST %s: workers=1000000 allocated %d B, default %d B; want at most 1.25×", u, huge, def)
 		}
+	}
+
+	req := httptest.NewRequest(http.MethodPost, "/v1/ingest?name=wide&d0=1&workers=1000000", bytes.NewReader(body))
+	rec := httptest.NewRecorder()
+	_, _, opt, ok := srv.parseIngest(rec, req, "relation", nil)
+	if !ok {
+		t.Fatalf("parseIngest: status %d: %s", rec.Code, rec.Body)
+	}
+	if procs := runtime.GOMAXPROCS(0); opt.Workers != procs {
+		t.Errorf("workers=1000000 reached Phase I as Workers=%d; want GOMAXPROCS = %d", opt.Workers, procs)
 	}
 }
 

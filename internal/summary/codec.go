@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 	"sort"
 
 	"repro/internal/cf"
@@ -59,7 +60,7 @@ func Encode(s *Summary) ([]byte, error) {
 		return nil, err
 	}
 	shape := s.Shape()
-	b := make([]byte, 0, 1<<12)
+	b := make([]byte, 0, encodedLen(s, shape))
 	b = append(b, codecMagic...)
 	b = append(b, codecVersion, 0, 0, 0)
 	b = binary.LittleEndian.AppendUint64(b, s.Fingerprint())
@@ -97,6 +98,7 @@ func Encode(s *Summary) ([]byte, error) {
 		b = appendUvarint(b, uint64(len(g.Clusters)))
 	}
 
+	var keys []string // histogram keys, reused across clusters
 	for _, g := range s.Groups {
 		for _, a := range g.Clusters {
 			b = appendUvarint(b, uint64(a.N))
@@ -122,7 +124,7 @@ func Encode(s *Summary) ([]byte, error) {
 				hist := a.NomCounts[g2]
 				b = appendUvarint(b, uint64(g2))
 				b = appendUvarint(b, uint64(len(hist)))
-				keys := make([]string, 0, len(hist))
+				keys = keys[:0]
 				for k := range hist {
 					keys = append(keys, k)
 				}
@@ -137,6 +139,55 @@ func Encode(s *Summary) ([]byte, error) {
 
 	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 	return b, nil
+}
+
+// encodedLen is the exact length of Encode's output for s, computed from
+// the summary's shape so that Encode writes into one allocation. It
+// walks the layout Encode writes; the codec tests check that Encode's
+// buffer comes back exactly full.
+func encodedLen(s *Summary, shape cf.Shape) int {
+	n := len(codecMagic) + 4 + 8 // magic, version and reserved, fingerprint
+	n += uvarintLen(uint64(s.Tuples)) + uvarintLen(uint64(s.Shards))
+	n += uvarintLen(uint64(len(s.Attrs)))
+	for _, a := range s.Attrs {
+		n += stringLen(a.Name) + uvarintLen(uint64(a.Kind)) + uvarintLen(uint64(len(a.Values)))
+		for _, v := range a.Values {
+			n += stringLen(v)
+		}
+	}
+	n += uvarintLen(uint64(len(s.Groups)))
+	for _, g := range s.Groups {
+		n += stringLen(g.Name) + uvarintLen(uint64(len(g.Attrs)))
+		for _, a := range g.Attrs {
+			n += uvarintLen(uint64(a))
+		}
+		n += 1 + 8 + 8 // nominal flag, d0, threshold
+		n += uvarintLen(uint64(g.Rebuilds)) + uvarintLen(uint64(g.OutliersPaged)) + uvarintLen(uint64(g.Bytes))
+		n += uvarintLen(uint64(len(g.Clusters)))
+	}
+	floats := 0 // per cluster: every group's LS plus one SS per group
+	for _, d := range shape {
+		floats += d + 1
+	}
+	for _, g := range s.Groups {
+		for _, a := range g.Clusters {
+			n += uvarintLen(uint64(a.N)) + 8*floats
+			tracked := 0
+			for g2 := range shape {
+				if !a.Tracked(g2) {
+					continue
+				}
+				tracked++
+				hist := a.NomCounts[g2]
+				n += uvarintLen(uint64(g2)) + uvarintLen(uint64(len(hist)))
+				for k, c := range hist {
+					n += stringLen(k) + uvarintLen(uint64(c))
+				}
+			}
+			n += uvarintLen(uint64(tracked))
+		}
+	}
+	return n + 4 // crc32
 }
 
 // Decode parses an .acfsum payload. It never panics on malformed input:
@@ -374,6 +425,16 @@ func (r *reader) str(what string) string {
 func appendString(b []byte, s string) []byte {
 	b = appendUvarint(b, uint64(len(s)))
 	return append(b, s...)
+}
+
+// uvarintLen is the number of bytes appendUvarint writes for v.
+func uvarintLen(v uint64) int {
+	return max(1, (bits.Len64(v)+6)/7)
+}
+
+// stringLen is the number of bytes appendString writes for s.
+func stringLen(s string) int {
+	return uvarintLen(uint64(len(s))) + len(s)
 }
 
 func appendFloat(b []byte, v float64) []byte {

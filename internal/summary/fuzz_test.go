@@ -9,7 +9,8 @@ import (
 // accept without panicking, and anything it accepts must re-encode
 // byte-identically (the codec is canonical — Decode rejects non-minimal
 // varints, unsorted histogram keys, and non-zero reserved bytes
-// precisely so this property holds).
+// precisely so this property holds), into a buffer encodedLen sized
+// exactly.
 func FuzzDecode(f *testing.F) {
 	seed := testSummary(f, []string{"red", "blue"}, []struct {
 		X float64
@@ -42,6 +43,9 @@ func FuzzDecode(f *testing.F) {
 		}
 		if !bytes.Equal(out, data) {
 			t.Fatal("accepted input is not canonical: re-encoding differs")
+		}
+		if cap(out) != len(out) {
+			t.Fatalf("Encode's buffer has capacity %d for %d bytes; encodedLen is off", cap(out), len(out))
 		}
 	})
 }

@@ -136,7 +136,7 @@ func TestEncodeDeterministic(t *testing.T) {
 
 // TestRoundTripProperty round-trips randomized summaries: arbitrary
 // float payloads (including negatives and fractions), several groups,
-// varying cluster counts.
+// varying cluster counts. Encode must size its buffer exactly for each.
 func TestRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 25; trial++ {
@@ -160,6 +160,9 @@ func TestRoundTripProperty(t *testing.T) {
 		data, err := Encode(s)
 		if err != nil {
 			t.Fatalf("trial %d: Encode: %v", trial, err)
+		}
+		if cap(data) != len(data) {
+			t.Fatalf("trial %d: Encode's buffer has capacity %d for %d bytes", trial, cap(data), len(data))
 		}
 		got, err := Decode(data)
 		if err != nil {
