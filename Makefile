@@ -92,16 +92,22 @@ fuzzsmoke:
 	$(GO) test -race -run='^$$' -fuzz=FuzzRefine -fuzztime=10s ./internal/cftree
 	$(GO) test -race -run='^$$' -fuzz=FuzzParseCSV -fuzztime=10s ./internal/relation
 
-# The query-mode differential suite under the race detector: fused
-# engine output (measures, filters, sweeps, top-k, diffs) must equal
-# the explicit helper composition over the base rule set, bit for bit,
-# across worker counts, merged shards, incremental snapshots, the HTTP
-# endpoints and both CLI paths; answers served over a memoized base must
-# equal a fresh QuerySummary, also while a writer re-ingests.
+# The entry-point and query-mode differential suites under the race
+# detector. Entry points: Mine with PostScan off must equal
+# QuerySummary(Ingest(r)) in clusters, rules and Phase I counts, on
+# interval and nominal data, in the library and at the CLI; incremental
+# snapshots must agree on nominal data; and with PostScan on, nominal
+# degrees must match a brute-force recount under the post-scan's
+# membership. Query modes: fused engine output (measures, filters,
+# sweeps, top-k, diffs) must equal the explicit helper composition over
+# the base rule set, bit for bit, across worker counts, merged shards,
+# incremental snapshots, the HTTP endpoints and both CLI paths; answers
+# served over a memoized base must equal a fresh QuerySummary, also
+# while a writer re-ingests.
 querydiff:
-	$(GO) test -race -run 'TestQueryModes|TestMeasure|TestConviction|TestDiffRules' ./internal/core
+	$(GO) test -race -run 'TestQueryIngestMatchesMine|TestQueryNominal|TestIncrementalNominal|TestPostScanNominalDegreesAreExact|TestQueryModes|TestMeasure|TestConviction|TestDiffRules' ./internal/core
 	$(GO) test -race -run 'TestQueryMode|TestServedDiff|TestModeCache|TestDiffCache|TestDiffMetrics|TestMemo|TestOptionBodies' ./internal/server
-	$(GO) test -race -run 'TestGoldenQuery|TestOldSummary|TestDiffCLI|TestRemoteDiff' ./cmd/darminer
+	$(GO) test -race -run 'TestIngestQueryMatchesMine|TestGoldenQuery|TestOldSummary|TestDiffCLI|TestRemoteDiff' ./cmd/darminer
 
 # perfbench's own tests (a separate module): its output checks answer
 # a sample of query_mix's documents through a live dard and compare

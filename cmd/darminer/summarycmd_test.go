@@ -152,37 +152,40 @@ func TestGoldenQueryJSON(t *testing.T) {
 
 // TestIngestQueryMatchesMine pins the CLI-level differential: the rule
 // lines of `ingest | query` must equal those of a one-shot
-// `darminer -nopostscan` run over the same data and parameters.
+// `darminer -nopostscan` run over the same data and parameters, on
+// interval data and on the golden input's nominal Dept.
 func TestIngestQueryMatchesMine(t *testing.T) {
-	input := filepath.Join("testdata", "interval_input.csv")
+	for _, name := range []string{"interval_input.csv", "golden_input.csv"} {
+		input := filepath.Join("testdata", name)
 
-	var mineBuf bytes.Buffer
-	cfg := goldenCfg(1)
-	cfg.noPostScan = true // the summary path has no relation to rescan
-	if err := run(&mineBuf, input, cfg); err != nil {
-		t.Fatalf("run(mine): %v", err)
-	}
-	mined := ruleLines(mineBuf.String())
-	if len(mined) == 0 {
-		t.Fatalf("mine emitted no rules; comparison is vacuous:\n%s", mineBuf.String())
-	}
+		var mineBuf bytes.Buffer
+		cfg := goldenCfg(1)
+		cfg.noPostScan = true // the summary path has no relation to rescan
+		if err := run(&mineBuf, input, cfg); err != nil {
+			t.Fatalf("%s: run(mine): %v", name, err)
+		}
+		mined := ruleLines(mineBuf.String())
+		if len(mined) == 0 {
+			t.Fatalf("%s: mine emitted no rules; comparison is vacuous:\n%s", name, mineBuf.String())
+		}
 
-	sum := filepath.Join(t.TempDir(), "s.acfsum")
-	var buf bytes.Buffer
-	if err := runIngest(&buf, input, goldenIngestCfg(sum)); err != nil {
-		t.Fatalf("runIngest: %v", err)
-	}
-	buf.Reset()
-	qcfg := goldenQueryCfg(1)
-	qcfg.measures = false // mine's text output carries no measure suffixes
-	if err := runQuery(&buf, sum, qcfg); err != nil {
-		t.Fatalf("runQuery: %v", err)
-	}
-	queried := ruleLines(buf.String())
+		sum := filepath.Join(t.TempDir(), "s.acfsum")
+		var buf bytes.Buffer
+		if err := runIngest(&buf, input, goldenIngestCfg(sum)); err != nil {
+			t.Fatalf("%s: runIngest: %v", name, err)
+		}
+		buf.Reset()
+		qcfg := goldenQueryCfg(1)
+		qcfg.measures = false // mine's text output carries no measure suffixes
+		if err := runQuery(&buf, sum, qcfg); err != nil {
+			t.Fatalf("%s: runQuery: %v", name, err)
+		}
+		queried := ruleLines(buf.String())
 
-	if strings.Join(queried, "\n") != strings.Join(mined, "\n") {
-		t.Errorf("ingest|query rules diverge from mine -nopostscan:\n--- query ---\n%s\n--- mine ---\n%s",
-			strings.Join(queried, "\n"), strings.Join(mined, "\n"))
+		if strings.Join(queried, "\n") != strings.Join(mined, "\n") {
+			t.Errorf("%s: ingest|query rules diverge from mine -nopostscan:\n--- query ---\n%s\n--- mine ---\n%s",
+				name, strings.Join(queried, "\n"), strings.Join(mined, "\n"))
+		}
 	}
 }
 

@@ -228,9 +228,11 @@ func Ingest(rel Source, part *Partitioning, opt Options) (*Summary, error) {
 }
 
 // Query answers a rule query from a Summary alone — no relation, no
-// rescan. Over the same relation and options it produces bit-identical
-// rules to Mine with PostScan disabled; the PostScan extras (exact
-// bounding boxes, rule support counts) need the relation and are not
+// rescan. Mine with PostScan disabled is Ingest followed by this same
+// engine, so over the same relation and options the two produce
+// bit-identical rules, nominal groups included. The PostScan extras
+// (exact bounding boxes, rule support counts, MinRuleSupport, nominal
+// degrees under the rescan's membership) need the relation and are not
 // available on this path.
 //
 // Beyond the base rule set, QueryOptions selects server-side

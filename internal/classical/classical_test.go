@@ -1,6 +1,7 @@
 package classical
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -32,6 +33,8 @@ func TestOptionsValidate(t *testing.T) {
 		{MinSupport: 0.1, MinConfidence: -1},
 		{MinSupport: 0.1, MinConfidence: 2},
 		{MinSupport: 0.1, MinConfidence: 0.5, MaxEntriesPerAttr: -1},
+		{MinSupport: 0.1, MinConfidence: math.NaN()},
+		{MinSupport: math.NaN(), MinConfidence: 0.5},
 	}
 	for i, o := range cases {
 		if err := o.validate(); err == nil {

@@ -416,10 +416,11 @@ func TestShardRejectionAborts(t *testing.T) {
 	}
 }
 
-// TestOverflowingShardAborts: a body whose cluster sums overflow
-// float64 makes the worker holding those rows answer 400, so the
-// cluster ingest aborts without retrying or installing anything, and
-// both workers keep serving.
+// TestOverflowingShardAborts: a body whose values overflow float64
+// aborts the cluster ingest without retrying or installing anything,
+// and both workers keep serving. With derived thresholds the
+// coordinator's SuggestThresholds rejects it before dispatch; with
+// pinned ones the worker holding those rows answers 400.
 func TestOverflowingShardAborts(t *testing.T) {
 	_, w1 := newDard(t)
 	_, w2 := newDard(t)

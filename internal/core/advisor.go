@@ -50,7 +50,8 @@ func (o AdvisorOptions) withDefaults() AdvisorOptions {
 // SuggestThresholds returns a per-group d0 estimate suitable for
 // Options.DiameterThresholds. Nominal groups get 0 (Theorem 5.1 regime),
 // as do groups whose sampled values are all identical (any positive
-// threshold would over-merge a constant attribute).
+// threshold would over-merge a constant attribute). It fails when a
+// group's sampled distances overflow float64: no finite d0 fits them.
 func SuggestThresholds(rel relation.Source, part *relation.Partitioning, opt AdvisorOptions) ([]float64, error) {
 	if rel == nil || part == nil {
 		return nil, fmt.Errorf("core: nil relation or partitioning")
@@ -116,6 +117,9 @@ func SuggestThresholds(rel relation.Source, part *relation.Partitioning, opt Adv
 			continue // 0: exact-value clustering
 		}
 		out[g] = suggestFromSample(samples[g], opt.MinJump)
+		if math.IsInf(out[g], 0) {
+			return nil, fmt.Errorf("core: group %q: sampled pairwise distances overflow float64, so no finite d0 fits them", part.Group(g).Name)
+		}
 	}
 	return out, nil
 }

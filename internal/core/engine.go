@@ -5,8 +5,9 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 
-	"repro/internal/cf"
+	"repro/internal/cftree"
 	"repro/internal/distance"
 	"repro/internal/summary"
 )
@@ -160,7 +161,8 @@ func validateGroupFilter(field string, names []string) error {
 	return nil
 }
 
-// minSize is Options.minSize for the query-side options.
+// minSize returns the absolute frequency threshold s0 for a relation of
+// n tuples. It is at least 1: empty clusters are never frequent.
 func (q QueryOptions) minSize(n int) int {
 	s := q.MinClusterSize
 	if s == 0 {
@@ -177,13 +179,19 @@ func (q QueryOptions) effectiveWorkers(tasks int) int {
 }
 
 // ruleEngine is Phase II as a pure function of (clusters, options,
-// per-group d0): the clustering graph of Dfn 6.1, maximal cliques,
-// assoc() sets and rule formation. It never touches a relation — only
-// cluster summaries — which is the paper's Section 6 architecture made
-// explicit. Both Miner.phase2 and QuerySummary construct one.
+// per-group d0, nominal flags, co-occurrence): the clustering graph of
+// Dfn 6.1, maximal cliques, assoc() sets and rule formation. It never
+// touches a relation — only cluster summaries — which is the paper's
+// Section 6 architecture made explicit. frequentClusters builds the one
+// instance QueryBase and Miner.Mine run; they differ only in where the
+// nominal co-occurrence counts come from.
 type ruleEngine struct {
 	opt       QueryOptions
 	numGroups int
+	// nominal[g] marks the groups clustered in the Theorem 5.1 regime:
+	// their distances are the discrete D2 of co-occurrence counts, not
+	// the summary metric.
+	nominal []bool
 	// d0[g] is the ingest-time diameter threshold of group g: the unit
 	// degrees are normalized by (Dfn 5.3) and the basis of the graph
 	// edge thresholds.
@@ -200,10 +208,11 @@ type ruleEngine struct {
 // It is QueryBase followed by WithQueryModes; a server that memoizes
 // bases per summary version composes the two itself.
 //
-// Over the same relation, options and worker count, the result is
-// bit-identical to Mine with PostScan disabled (the differential tests
-// pin this); PostScan extras — exact boxes, rule supports, the
-// MinRuleSupport filter — need the relation and are out of scope here.
+// Mine with PostScan disabled runs this same path over its own Ingest,
+// so over the same relation, options and worker count the two agree bit
+// for bit (the differential tests pin this); PostScan extras — exact
+// boxes, rule supports, the MinRuleSupport filter — need the relation
+// and are out of scope here.
 func QuerySummary(s *summary.Summary, q QueryOptions) (*Result, error) {
 	base, err := QueryBase(s, q)
 	if err != nil {
@@ -226,11 +235,12 @@ func (q QueryOptions) BaseOptions() QueryOptions {
 }
 
 // QueryBase is the Phase II half of QuerySummary: it validates q, then
-// clones, refines and frequency-filters the summary's clusters and
+// refines and frequency-filters clones of the summary's clusters and
 // forms the base rule set of q.BaseOptions() — every mode left
-// unapplied. The returned Result is never modified afterwards by this
-// package: WithQueryModes works on a copy, so one base can serve
-// concurrent queries.
+// unapplied — with nominal co-occurrence from the summary's histograms.
+// The returned Result is never modified afterwards by this package:
+// WithQueryModes works on a copy, so one base can serve concurrent
+// queries.
 func QueryBase(s *summary.Summary, q QueryOptions) (*Result, error) {
 	if s == nil {
 		return nil, fmt.Errorf("core: nil summary")
@@ -241,35 +251,66 @@ func QueryBase(s *summary.Summary, q QueryOptions) (*Result, error) {
 	if err := q.validate(); err != nil {
 		return nil, err
 	}
+	// The summary outlives the base (a server memoizes both), so the
+	// base's clusters wrap clones, never the summary's own ACFs.
+	res, e := frequentClusters(s.Clone(), q)
+	res.Rules, res.PhaseII = e.run(res.Clusters, summaryCooccurrence(res.Clusters, e.nominal))
+	return res, nil
+}
 
+// frequentClusters is the summary → Phase II step QueryBase and
+// Miner.Mine share. Per group it applies the optional global refinement
+// (BIRCH's agglomerative repair pass, bounded by the group's final
+// threshold) and the s0 frequency floor; the survivors are ordered by
+// (group, centroid, size) and numbered. PhaseIStats come from the
+// summary's provenance (ClustersFound counts the post-refinement leaves
+// before filtering), and the returned rule engine runs q.BaseOptions()
+// over the summary's per-group d0 and nominal flags. The clusters wrap
+// the summary's ACFs (Refine's merged copies when refining).
+func frequentClusters(s *summary.Summary, q QueryOptions) (*Result, *ruleEngine) {
 	groups := len(s.Groups)
-	nominal := make([]bool, groups)
-	thresholds := make([]float64, groups)
-	d0 := make([]float64, groups)
-	leaves := make([][]*cf.ACF, groups)
-	stats := PhaseIStats{TuplesScanned: int(s.Tuples)}
+	e := &ruleEngine{opt: q.BaseOptions(), numGroups: groups, nominal: make([]bool, groups), d0: make([]float64, groups)}
+	res := &Result{PhaseI: PhaseIStats{TuplesScanned: int(s.Tuples)}}
+	minSize := int64(q.minSize(int(s.Tuples)))
 	for g := range s.Groups {
 		sg := &s.Groups[g]
-		nominal[g] = sg.Nominal
-		thresholds[g] = sg.Threshold
-		d0[g] = sg.D0
-		stats.Rebuilds += sg.Rebuilds
-		stats.OutliersPaged += sg.OutliersPaged
-		stats.Bytes += sg.Bytes
-		ls := make([]*cf.ACF, len(sg.Clusters))
-		for i, a := range sg.Clusters {
-			ls[i] = a.Clone()
+		e.nominal[g] = sg.Nominal
+		e.d0[g] = sg.D0
+		res.PhaseI.Rebuilds += sg.Rebuilds
+		res.PhaseI.OutliersPaged += sg.OutliersPaged
+		res.PhaseI.Bytes += sg.Bytes
+		ls := sg.Clusters
+		if q.GlobalRefine {
+			ls = cftree.Refine(ls, sg.Threshold)
 		}
-		leaves[g] = ls
+		res.PhaseI.ClustersFound += len(ls)
+		for _, a := range ls {
+			if a.N < minSize {
+				continue
+			}
+			c := &Cluster{Group: g, ACF: a, Size: a.N}
+			c.approxBox()
+			res.Clusters = append(res.Clusters, c)
+		}
 	}
-
-	clusters, found := selectClusters(leaves, thresholds, q.GlobalRefine, q.minSize(int(s.Tuples)))
-	stats.ClustersFound = found
-	stats.FrequentClusters = len(clusters)
-
-	e := &ruleEngine{opt: q.BaseOptions(), numGroups: groups, d0: d0}
-	rules, p2 := e.run(clusters, nominal, summaryCooccurrence(clusters, nominal))
-	return &Result{Clusters: clusters, Rules: rules, PhaseI: stats, PhaseII: p2}, nil
+	sort.Slice(res.Clusters, func(i, j int) bool {
+		a, b := res.Clusters[i], res.Clusters[j]
+		if a.Group != b.Group {
+			return a.Group < b.Group
+		}
+		ca, cb := a.Centroid(), b.Centroid()
+		for k := range ca {
+			if ca[k] != cb[k] {
+				return ca[k] < cb[k]
+			}
+		}
+		return a.N() > b.N()
+	})
+	for i, c := range res.Clusters {
+		c.ID = i
+	}
+	res.PhaseI.FrequentClusters = len(res.Clusters)
+	return res, e
 }
 
 // WithQueryModes returns a new Result: base with the deterministic
@@ -333,10 +374,10 @@ func resolveGroupFilter(field string, names []string, groupIndex func(string) (i
 
 // summaryCooccurrence derives the nominal co-occurrence counts Phase II
 // needs (Theorem 5.2: D2 = 1 − |cx ∩ cy| / |cx|) from the exact-value
-// histograms carried by the clusters, instead of the batch pipeline's
-// post-scan. A nominal cluster cy is, by Theorem 5.1, exactly the set
-// of tuples carrying its value, so |cx ∩ cy| is cx's histogram count
-// for that value on cy's group.
+// histograms carried by the clusters; Mine's post-scan replaces them
+// with counts under its nearest-centroid membership. A nominal cluster
+// cy is, by Theorem 5.1, exactly the set of tuples carrying its value,
+// so |cx ∩ cy| is cx's histogram count for that value on cy's group.
 func summaryCooccurrence(clusters []*Cluster, nominal []bool) cooccurrence {
 	co := make(cooccurrence)
 	for _, cy := range clusters {

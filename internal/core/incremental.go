@@ -15,12 +15,12 @@ import (
 //
 // Nominal attribute groups are supported: the ingest layer histograms
 // exact nominal projections in every leaf ACF, so snapshot queries get
-// their Theorem 5.2 co-occurrence degrees from the summary instead of
-// the rescan the batch pipeline uses. The remaining trade-off against
-// the batch Miner is the loss of the descriptive post-scan — bounding
-// boxes are approximate and rule supports are not counted — which is
-// why Options.PostScan must be off (it is rejected rather than
-// silently overridden). Workers is honored by Snapshot's Phase II.
+// their Theorem 5.2 co-occurrence degrees from the summary, as Mine
+// does without PostScan. The remaining trade-off against the batch
+// Miner is the loss of the descriptive post-scan — bounding boxes are
+// approximate and rule supports are not counted — which is why
+// Options.PostScan must be off (it is rejected rather than silently
+// overridden). Workers is honored by Snapshot's Phase II.
 type IncrementalMiner struct {
 	opt Options
 	ing *ingester
@@ -37,7 +37,7 @@ func NewIncrementalMiner(part *relation.Partitioning, opt Options) (*Incremental
 	if opt.PostScan {
 		return nil, fmt.Errorf("core: incremental mining keeps no relation to rescan; set Options.PostScan = false (snapshots use approximate boxes and summary-derived co-occurrence instead)")
 	}
-	return &IncrementalMiner{opt: opt, ing: newIngester(part, opt, true, 0)}, nil
+	return &IncrementalMiner{opt: opt, ing: newIngester(part, opt, 0)}, nil
 }
 
 // Add ingests one tuple (full schema width).

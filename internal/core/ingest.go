@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/cf"
 	"repro/internal/cftree"
@@ -29,9 +28,10 @@ func perTreeLimit(memoryLimit, groups int) int {
 
 // ingester is the one Phase I implementation (Section 6.1): tuples are
 // projected onto every attribute group and inserted into that group's
-// adaptive ACF-tree. The batch Miner, the IncrementalMiner and the QAR
-// miner all feed their scans through here; what differs between them is
-// only where the tuples come from and when the trees are read out.
+// adaptive ACF-tree. Ingest (which the batch Miner and the QAR miner
+// run) and the IncrementalMiner feed their tuples through here; what
+// differs between them is only where the tuples come from and when the
+// trees are read out.
 type ingester struct {
 	opt     Options
 	part    *relation.Partitioning
@@ -48,18 +48,18 @@ type ingester struct {
 // and their adaptive rebuild is disabled (raising the threshold would
 // merge distinct values; the tree is bounded by the domain size anyway).
 //
-// track enables exact-value histograms on nominal groups in every
-// tree's leaf ACFs, which lets a Summary answer nominal co-occurrence
-// queries (Theorem 5.2) without a rescan. Tracking never changes the
-// clusters produced: tree memory accounting is sized from an untracked
-// ACF, so rebuild schedules are identical either way.
+// Every tree's leaf ACFs carry exact-value histograms on the nominal
+// groups, which lets a Summary answer nominal co-occurrence queries
+// (Theorem 5.2) without a rescan. Tracking never changes the clusters
+// produced: tree memory accounting is sized from an untracked ACF, so
+// rebuild schedules are identical either way.
 //
 // expectTuples, when > 0, is the known relation size |r|; it feeds the
 // outlier-paging threshold (Section 4.3.1 pages clusters "significantly
 // smaller than the frequency threshold"). Streaming ingest passes 0:
 // with no |r| there is no frequency threshold to page against, so
 // PageOutliers is inert.
-func newIngester(part *relation.Partitioning, opt Options, track bool, expectTuples int) *ingester {
+func newIngester(part *relation.Partitioning, opt Options, expectTuples int) *ingester {
 	groups := part.NumGroups()
 	ing := &ingester{
 		opt:     opt,
@@ -88,13 +88,11 @@ func newIngester(part *relation.Partitioning, opt Options, track bool, expectTup
 			LeafCapacity: opt.LeafCapacity,
 			Threshold:    threshold,
 			MemoryLimit:  limit,
+			Track:        ing.nominal,
 		}
 		if opt.PageOutliers && expectTuples > 0 {
-			cfg.OutlierN = int64(opt.minSize(expectTuples))/4 + 1
+			cfg.OutlierN = int64(opt.Query().minSize(expectTuples))/4 + 1
 			cfg.Outliers = cftree.NewMemoryOutlierStore()
-		}
-		if track {
-			cfg.Track = ing.nominal
 		}
 		ing.trees[g] = cftree.New(ing.shape, g, cfg)
 	}
@@ -254,49 +252,6 @@ func (ing *ingester) summarize(leaves [][]*cf.ACF, stats []cftree.Stats) *summar
 	return s
 }
 
-// selectClusters turns per-group leaf ACFs into Phase II's frequent
-// cluster list: optional global refinement per group (BIRCH's
-// agglomerative repair pass, bounded by the group's final threshold),
-// the s0 frequency floor, the deterministic (group, centroid, size)
-// order, and ID assignment. found is the total post-refinement leaf
-// count before frequency filtering (PhaseIStats.ClustersFound). Both
-// the batch miner and the summary query engine go through here, which
-// is what makes Query(Ingest(r)) land on the byte-identical cluster
-// list Mine(r) produces.
-func selectClusters(leaves [][]*cf.ACF, thresholds []float64, refine bool, minSize int) (clusters []*Cluster, found int) {
-	for g, ls := range leaves {
-		if refine {
-			ls = cftree.Refine(ls, thresholds[g])
-		}
-		found += len(ls)
-		for _, a := range ls {
-			if a.N < int64(minSize) {
-				continue
-			}
-			c := &Cluster{Group: g, ACF: a, Size: a.N}
-			c.approxBox()
-			clusters = append(clusters, c)
-		}
-	}
-	sort.Slice(clusters, func(i, j int) bool {
-		a, b := clusters[i], clusters[j]
-		if a.Group != b.Group {
-			return a.Group < b.Group
-		}
-		ca, cb := a.Centroid(), b.Centroid()
-		for k := range ca {
-			if ca[k] != cb[k] {
-				return ca[k] < cb[k]
-			}
-		}
-		return a.N() > b.N()
-	})
-	for i, c := range clusters {
-		c.ID = i
-	}
-	return clusters, found
-}
-
 // Ingest runs the shared Phase I over a whole relation and returns its
 // Summary: the persistable, mergeable artifact the query engine
 // consumes. One Ingest serves arbitrarily many QuerySummary calls, and
@@ -311,7 +266,7 @@ func Ingest(rel relation.Source, part *relation.Partitioning, opt Options) (*sum
 	if err := opt.validate(part.NumGroups()); err != nil {
 		return nil, err
 	}
-	ing := newIngester(part, opt, true, rel.Len())
+	ing := newIngester(part, opt, rel.Len())
 	if err := ing.addSource(rel); err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -44,57 +45,73 @@ func sameClusterGeometry(t *testing.T, got, want []*Cluster, label string) {
 }
 
 // TestQueryIngestMatchesMine pins the tentpole invariant: over the same
-// relation and options, Query(Ingest(r)) ≡ Mine(r) bit for bit, at every
-// worker count.
+// relation and options, Query(Ingest(r)) ≡ Mine(r) with PostScan off,
+// bit for bit, at every worker count — clusters, rules and Phase I
+// counts. The nominal case holds because Mine without PostScan takes
+// its Theorem 5.2 co-occurrence from the summary's histograms too.
 func TestQueryIngestMatchesMine(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	rel := plantedXY(rng, 120, 20)
-	part := relation.SingletonPartitioning(rel.Schema())
+	nominal := DefaultOptions()
+	nominal.DiameterThreshold = 1000
+	nominal.FrequencyFraction = 0.05
+	nominal.DegreeFactor = 2.5
+	for _, tc := range []struct {
+		name string
+		rel  *relation.Relation
+		opt  Options
+	}{
+		{"interval", plantedXY(rand.New(rand.NewSource(7)), 120, 20), plantedOptions()},
+		{"nominal", nominalIntervalRelation(rand.New(rand.NewSource(5)), 400, 0.9), nominal},
+	} {
+		part := relation.SingletonPartitioning(tc.rel.Schema())
+		for _, w := range []int{1, 2, 4, 8} {
+			opt := tc.opt
+			opt.PostScan = false
+			opt.Workers = w
+			label := fmt.Sprintf("%s workers=%d", tc.name, w)
 
-	for _, w := range []int{1, 2, 4, 8} {
-		opt := plantedOptions()
-		opt.PostScan = false
-		opt.Workers = w
+			m, err := NewMiner(tc.rel, part, opt)
+			if err != nil {
+				t.Fatalf("%s NewMiner: %v", label, err)
+			}
+			mined, err := m.Mine()
+			if err != nil {
+				t.Fatalf("%s Mine: %v", label, err)
+			}
+			if len(mined.Rules) == 0 {
+				t.Fatalf("%s: Mine emitted no rules; the comparison is vacuous", label)
+			}
 
-		m, err := NewMiner(rel, part, opt)
-		if err != nil {
-			t.Fatalf("workers=%d NewMiner: %v", w, err)
-		}
-		mined, err := m.Mine()
-		if err != nil {
-			t.Fatalf("workers=%d Mine: %v", w, err)
-		}
+			s, err := Ingest(tc.rel, part, opt)
+			if err != nil {
+				t.Fatalf("%s Ingest: %v", label, err)
+			}
+			queried, err := QuerySummary(s, opt.Query())
+			if err != nil {
+				t.Fatalf("%s QuerySummary: %v", label, err)
+			}
 
-		s, err := Ingest(rel, part, opt)
-		if err != nil {
-			t.Fatalf("workers=%d Ingest: %v", w, err)
+			sameClusterGeometry(t, queried.Clusters, mined.Clusters, label)
+			sameRules(t, queried.Rules, mined.Rules, label)
+			q1, m1 := queried.PhaseI, mined.PhaseI
+			q1.Duration, m1.Duration = 0, 0
+			if q1 != m1 {
+				t.Errorf("%s: PhaseI %+v vs %+v", label, q1, m1)
+			}
+			// Serializing the summary must not perturb the answer.
+			enc, err := summary.Encode(s)
+			if err != nil {
+				t.Fatalf("%s Encode: %v", label, err)
+			}
+			dec, err := summary.Decode(enc)
+			if err != nil {
+				t.Fatalf("%s Decode: %v", label, err)
+			}
+			requeried, err := QuerySummary(dec, opt.Query())
+			if err != nil {
+				t.Fatalf("%s QuerySummary(decoded): %v", label, err)
+			}
+			sameRules(t, requeried.Rules, mined.Rules, label+" decoded")
 		}
-		queried, err := QuerySummary(s, opt.Query())
-		if err != nil {
-			t.Fatalf("workers=%d QuerySummary: %v", w, err)
-		}
-
-		label := "workers=" + string(rune('0'+w))
-		sameClusterGeometry(t, queried.Clusters, mined.Clusters, label)
-		sameRules(t, queried.Rules, mined.Rules, label)
-		if queried.PhaseI.TuplesScanned != mined.PhaseI.TuplesScanned {
-			t.Errorf("%s: TuplesScanned %d vs %d", label,
-				queried.PhaseI.TuplesScanned, mined.PhaseI.TuplesScanned)
-		}
-		// Serializing the summary must not perturb the answer.
-		enc, err := summary.Encode(s)
-		if err != nil {
-			t.Fatalf("workers=%d Encode: %v", w, err)
-		}
-		dec, err := summary.Decode(enc)
-		if err != nil {
-			t.Fatalf("workers=%d Decode: %v", w, err)
-		}
-		requeried, err := QuerySummary(dec, opt.Query())
-		if err != nil {
-			t.Fatalf("workers=%d QuerySummary(decoded): %v", w, err)
-		}
-		sameRules(t, requeried.Rules, mined.Rules, label+" decoded")
 	}
 }
 
@@ -237,7 +254,7 @@ func TestQueryNominalMatchesPostScanMine(t *testing.T) {
 	rel := jobSalaryRelation()
 	part := relation.SingletonPartitioning(rel.Schema())
 	opt := plantedOptions()
-	opt.PostScan = true // batch nominal mining requires the rescan
+	opt.PostScan = true // nominal degrees from the post-scan's counts
 
 	m, err := NewMiner(rel, part, opt)
 	if err != nil {

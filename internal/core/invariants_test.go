@@ -48,7 +48,7 @@ func TestMiningInvariants(t *testing.T) {
 		t.Fatal("workload produced no rules")
 	}
 
-	minSize := int64(opt.minSize(rel.Len()))
+	minSize := int64(opt.Query().minSize(rel.Len()))
 	for _, c := range res.Clusters {
 		// Dfn 4.2: density and frequency.
 		if d := c.Diameter(); d > opt.diameterFor(c.Group)+1e-9 {
@@ -114,8 +114,7 @@ func TestSupportCountsAreExact(t *testing.T) {
 	if len(res.Rules) == 0 {
 		t.Fatal("no rules")
 	}
-	nominal := m.nominalGroups()
-	asn := newAssigner(part, res.Clusters, m.membershipCaps(nominal))
+	asn := newAssigner(part, res.Clusters, m.membershipCaps(nominalGroupsOf(part)))
 	for _, r := range res.Rules {
 		var count int64
 		proj := make([][]float64, part.NumGroups())
@@ -140,5 +139,81 @@ func TestSupportCountsAreExact(t *testing.T) {
 		if count != r.Support {
 			t.Errorf("rule %v⇒%v support %d, brute force %d", r.Antecedent, r.Consequent, r.Support, count)
 		}
+	}
+}
+
+// TestPostScanNominalDegreesAreExact recomputes by brute force the
+// degree of every rule whose consequent is one nominal cluster. With
+// PostScan on, Theorem 5.2's D2 = 1 − |cx ∩ cy| / |cx| is counted under
+// the post-scan's nearest-centroid membership — not read from the
+// summary's histograms, which disagree on noisy interval data — and is
+// normalized by the nominal degree scale 0.5. Rules between the two
+// nominal columns check that a pair of nominal groups is counted once.
+func TestPostScanNominalDegreesAreExact(t *testing.T) {
+	rel := mixedNominalRelation(rand.New(rand.NewSource(93)), 600)
+	part := relation.SingletonPartitioning(rel.Schema())
+	opt := DefaultOptions()
+	opt.DiameterThresholds = []float64{0, 0, 4, 5}
+	opt.FrequencyFraction = 0.04
+	m, err := NewMiner(rel, part, opt)
+	if err != nil {
+		t.Fatalf("NewMiner: %v", err)
+	}
+	res, err := m.Mine()
+	if err != nil {
+		t.Fatalf("Mine: %v", err)
+	}
+	nominal := nominalGroupsOf(part)
+	asn := newAssigner(part, res.Clusters, m.membershipCaps(nominal))
+	size := make([]int64, len(res.Clusters))
+	both := map[[2]int]int64{} // (cx, cy) → tuples assigned to both
+	proj := make([][]float64, part.NumGroups())
+	for g := range proj {
+		proj[g] = make([]float64, part.Group(g).Dims())
+	}
+	ids := make([]int, part.NumGroups())
+	err = rel.Scan(func(_ int, tuple []float64) error {
+		for g := range ids {
+			part.Project(g, tuple, proj[g])
+			ids[g] = -1
+			if c := asn.assign(g, proj[g]); c != nil {
+				ids[g] = c.ID
+				size[c.ID]++
+			}
+		}
+		for _, x := range ids {
+			for _, y := range ids {
+				if x >= 0 && y >= 0 && x != y {
+					both[[2]int{x, y}]++
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("Scan: %v", err)
+	}
+
+	checked := 0
+	for _, r := range res.Rules {
+		if len(r.Consequent) != 1 || !nominal[res.Clusters[r.Consequent[0]].Group] {
+			continue
+		}
+		cy := r.Consequent[0]
+		want := 0.0
+		for _, cx := range r.Antecedent {
+			d := 1.0
+			if size[cx] > 0 {
+				d = 1 - float64(both[[2]int{cx, cy}])/float64(size[cx])
+			}
+			want = max(want, d/0.5)
+		}
+		if r.Degree != want {
+			t.Errorf("rule %v⇒%v degree %v, brute force %v", r.Antecedent, r.Consequent, r.Degree, want)
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatalf("none of %d rules has one nominal consequent; the check is vacuous", len(res.Rules))
 	}
 }

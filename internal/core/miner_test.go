@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -236,21 +237,6 @@ func TestMineNominalAssociation(t *testing.T) {
 	}
 }
 
-func TestMineNominalWithoutPostScanFails(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	rel := nominalIntervalRelation(rng, 100, 0.9)
-	part := relation.SingletonPartitioning(rel.Schema())
-	o := DefaultOptions()
-	o.PostScan = false
-	m, err := NewMiner(rel, part, o)
-	if err != nil {
-		t.Fatalf("NewMiner: %v", err)
-	}
-	if _, err := m.Mine(); err == nil {
-		t.Error("nominal groups without PostScan accepted")
-	}
-}
-
 func TestDescribeRule(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	rel := plantedXY(rng, 100, 0)
@@ -334,6 +320,9 @@ func TestQARMinerValidation(t *testing.T) {
 	}
 	if _, err := NewQARMiner(rel, part, DefaultOptions(), -0.1); err == nil {
 		t.Error("negative confidence accepted")
+	}
+	if _, err := NewQARMiner(rel, part, DefaultOptions(), math.NaN()); err == nil {
+		t.Error("NaN confidence accepted")
 	}
 }
 

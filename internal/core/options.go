@@ -12,6 +12,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/distance"
 )
@@ -101,12 +102,14 @@ type Options struct {
 	// the relation once per group).
 	Workers int
 
-	// PostScan enables the optional post-processing pass of Section 6.2:
-	// one extra scan that assigns every tuple to its nearest frequent
-	// cluster per group, computes exact cluster bounding boxes (the rule
-	// description of Section 7.2), counts the joint support of every
-	// candidate rule, and tallies cluster co-occurrence so rules over
-	// nominal groups get exact discrete distances.
+	// PostScan enables the optional post-processing of Section 6.2: two
+	// extra scans, three in all with Phase I's. Both assign every tuple
+	// to its nearest frequent cluster per group. The first, before rule
+	// formation, computes exact cluster bounding boxes (the rule
+	// description of Section 7.2) and tallies cluster co-occurrence,
+	// which replaces the summary histograms' as the nominal groups'
+	// discrete distances. The second counts the joint support of every
+	// candidate rule.
 	PostScan bool
 
 	// MinRuleSupport applies Section 6.2's "additional frequency
@@ -135,38 +138,28 @@ func DefaultOptions() Options {
 	}
 }
 
+// validate checks the ingest-time fields and leaves the Phase II ones
+// to QueryOptions.validate. NaN fails every comparison, so each range
+// test is written to reject it.
 func (o Options) validate(numGroups int) error {
-	if o.DiameterThreshold < 0 {
-		return fmt.Errorf("core: DiameterThreshold must be >= 0, got %v", o.DiameterThreshold)
+	if !(o.DiameterThreshold >= 0) || math.IsInf(o.DiameterThreshold, 1) {
+		return fmt.Errorf("core: DiameterThreshold must be a finite value >= 0, got %v", o.DiameterThreshold)
 	}
 	if o.DiameterThresholds != nil && len(o.DiameterThresholds) != numGroups {
 		return fmt.Errorf("core: %d per-group diameter thresholds for %d groups", len(o.DiameterThresholds), numGroups)
 	}
-	if o.FrequencyFraction < 0 || o.FrequencyFraction > 1 {
-		return fmt.Errorf("core: FrequencyFraction must be in [0,1], got %v", o.FrequencyFraction)
+	for g, d := range o.DiameterThresholds {
+		if !(d >= 0) || math.IsInf(d, 1) {
+			return fmt.Errorf("core: DiameterThresholds[%d] must be a finite value >= 0 (0 falls back to DiameterThreshold), got %v", g, d)
+		}
 	}
-	if o.MinClusterSize < 0 {
-		return fmt.Errorf("core: MinClusterSize must be >= 0, got %d", o.MinClusterSize)
-	}
-	if o.DegreeFactor <= 0 {
-		return fmt.Errorf("core: DegreeFactor must be > 0, got %v", o.DegreeFactor)
-	}
-	if o.GraphFactor <= 0 {
-		return fmt.Errorf("core: GraphFactor must be > 0, got %v", o.GraphFactor)
-	}
-	if o.MaxAntecedent < 1 || o.MaxConsequent < 1 {
-		return fmt.Errorf("core: MaxAntecedent and MaxConsequent must be >= 1, got %d and %d", o.MaxAntecedent, o.MaxConsequent)
-	}
-	if o.Workers < 0 {
-		return fmt.Errorf("core: Workers must be >= 0 (0 or 1 = serial, higher parallelizes both phases), got %d", o.Workers)
-	}
-	if o.MinRuleSupport < 0 || o.MinRuleSupport > 1 {
+	if !(o.MinRuleSupport >= 0 && o.MinRuleSupport <= 1) {
 		return fmt.Errorf("core: MinRuleSupport must be in [0,1], got %v", o.MinRuleSupport)
 	}
 	if o.MinRuleSupport > 0 && !o.PostScan {
 		return fmt.Errorf("core: MinRuleSupport needs PostScan (support comes from the candidate rescan)")
 	}
-	return nil
+	return o.Query().validate()
 }
 
 // diameterFor returns d0 for a group.
@@ -175,17 +168,4 @@ func (o Options) diameterFor(group int) float64 {
 		return o.DiameterThresholds[group]
 	}
 	return o.DiameterThreshold
-}
-
-// minSize returns the absolute frequency threshold s0 for a relation of n
-// tuples. It is at least 1: empty clusters are never frequent.
-func (o Options) minSize(n int) int {
-	s := o.MinClusterSize
-	if s == 0 {
-		s = int(o.FrequencyFraction * float64(n))
-	}
-	if s < 1 {
-		s = 1
-	}
-	return s
 }

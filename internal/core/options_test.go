@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/distance"
@@ -34,6 +35,24 @@ func TestOptionsValidate(t *testing.T) {
 		{"zero graph factor", func(o *Options) { o.GraphFactor = 0 }},
 		{"zero max antecedent", func(o *Options) { o.MaxAntecedent = 0 }},
 		{"zero max consequent", func(o *Options) { o.MaxConsequent = 0 }},
+		{"NaN diameter", func(o *Options) { o.DiameterThreshold = math.NaN() }},
+		{"+Inf diameter", func(o *Options) { o.DiameterThreshold = math.Inf(1) }},
+		{"-Inf diameter", func(o *Options) { o.DiameterThreshold = math.Inf(-1) }},
+		{"NaN per-group diameter", func(o *Options) { o.DiameterThresholds = []float64{1, math.NaN()} }},
+		{"+Inf per-group diameter", func(o *Options) { o.DiameterThresholds = []float64{math.Inf(1), 1} }},
+		{"-Inf per-group diameter", func(o *Options) { o.DiameterThresholds = []float64{1, math.Inf(-1)} }},
+		{"negative per-group diameter", func(o *Options) { o.DiameterThresholds = []float64{-1, 1} }},
+		{"NaN frequency", func(o *Options) { o.FrequencyFraction = math.NaN() }},
+		{"+Inf frequency", func(o *Options) { o.FrequencyFraction = math.Inf(1) }},
+		{"NaN degree factor", func(o *Options) { o.DegreeFactor = math.NaN() }},
+		{"+Inf degree factor", func(o *Options) { o.DegreeFactor = math.Inf(1) }},
+		{"NaN graph factor", func(o *Options) { o.GraphFactor = math.NaN() }},
+		{"+Inf graph factor", func(o *Options) { o.GraphFactor = math.Inf(1) }},
+		{"NaN min rule support", func(o *Options) { o.MinRuleSupport = math.NaN() }},
+		{"+Inf min rule support", func(o *Options) { o.MinRuleSupport = math.Inf(1) }},
+		{"-Inf min rule support", func(o *Options) { o.MinRuleSupport = math.Inf(-1) }},
+		{"negative workers", func(o *Options) { o.Workers = -1 }},
+		{"min rule support without post-scan", func(o *Options) { o.MinRuleSupport = 0.1; o.PostScan = false }},
 	}
 	for _, c := range cases {
 		o := base
@@ -41,6 +60,12 @@ func TestOptionsValidate(t *testing.T) {
 		if err := o.validate(2); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
+	}
+	// A zero per-group entry still means "fall back to DiameterThreshold".
+	o := base
+	o.DiameterThresholds = []float64{0, 3}
+	if err := o.validate(2); err != nil {
+		t.Errorf("zero per-group diameter rejected: %v", err)
 	}
 }
 
@@ -58,14 +83,14 @@ func TestOptionsDiameterFor(t *testing.T) {
 
 func TestOptionsMinSize(t *testing.T) {
 	o := Options{FrequencyFraction: 0.03}
-	if got := o.minSize(1000); got != 30 {
+	if got := o.Query().minSize(1000); got != 30 {
 		t.Errorf("minSize(1000) = %d, want 30", got)
 	}
-	if got := o.minSize(10); got != 1 {
+	if got := o.Query().minSize(10); got != 1 {
 		t.Errorf("minSize(10) = %d, want floor of 1", got)
 	}
 	o.MinClusterSize = 7
-	if got := o.minSize(1000); got != 7 {
+	if got := o.Query().minSize(1000); got != 7 {
 		t.Errorf("absolute MinClusterSize not honored: %d", got)
 	}
 }

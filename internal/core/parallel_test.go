@@ -363,7 +363,7 @@ func TestPipelineSteadyStateAllocs(t *testing.T) {
 		o.DiameterThreshold = 5
 		o.Workers = workers
 
-		ing := newIngester(part, o, true, rel64.Len())
+		ing := newIngester(part, o, rel64.Len())
 		// Warm-up creates every cluster entry the repeated tuples ever need.
 		if err := ing.addSource(rel16); err != nil {
 			t.Fatal(err)

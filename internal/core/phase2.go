@@ -37,12 +37,12 @@ type PhaseIIStats struct {
 // QueryOptions.Workers — graph rows, clique roots and clique pairs are
 // independent subproblems — and each stage merges its per-task results
 // in task order, so the output is bit-identical to the serial path.
-func (e *ruleEngine) run(clusters []*Cluster, nominal []bool, co cooccurrence) ([]Rule, PhaseIIStats) {
+func (e *ruleEngine) run(clusters []*Cluster, co cooccurrence) ([]Rule, PhaseIIStats) {
 	start := time.Now()
 	var st PhaseIIStats
 	st.Workers = e.opt.effectiveWorkers(len(clusters))
 
-	g := e.buildGraph(clusters, nominal, &st)
+	g := e.buildGraph(clusters, &st)
 	st.GraphNodes, st.GraphEdges = g.N(), g.Edges()
 
 	cliqueStart := time.Now()
@@ -55,22 +55,22 @@ func (e *ruleEngine) run(clusters []*Cluster, nominal []bool, co cooccurrence) (
 		}
 	}
 
-	rules := e.rulesFromCliques(clusters, cliques, nominal, co)
+	rules := e.rulesFromCliques(clusters, cliques, co)
 	st.Duration = time.Since(start)
 	return rules, st
 }
 
 // edgeThreshold returns the Dfn 6.1 threshold for distances measured on
 // group g, scaled by the lenient Phase II factor.
-func (e *ruleEngine) edgeThreshold(g int, nominal []bool) float64 {
-	return e.opt.GraphFactor * e.degreeScale(g, nominal)
+func (e *ruleEngine) edgeThreshold(g int) float64 {
+	return e.opt.GraphFactor * e.degreeScale(g)
 }
 
 // degreeScale returns the d0 used to normalize degrees on group g. For
 // nominal groups the discrete D2 lives in [0,1] and relates to classical
 // confidence by Theorem 5.2, so the scale is the nominalDegree option.
-func (e *ruleEngine) degreeScale(g int, nominal []bool) float64 {
-	if nominal[g] {
+func (e *ruleEngine) degreeScale(g int) float64 {
+	if e.nominal[g] {
 		return e.nominalDegree()
 	}
 	return e.d0[g]
@@ -84,10 +84,10 @@ func (e *ruleEngine) nominalDegree() float64 { return 0.5 }
 // imageDist computes D(cy[g], cx[g]) — the distance between the two
 // clusters' images on group g. Interval groups use the configured
 // summary metric (Theorem 6.1: computable from ACFs); nominal groups use
-// the exact discrete D2 derived from post-scan co-occurrence counts
-// (Theorem 5.2: D2 = 1 − |cx ∩ cy| / |cx|).
-func (e *ruleEngine) imageDist(cy, cx *Cluster, g int, nominal []bool, co cooccurrence) float64 {
-	if nominal[g] {
+// the exact discrete D2 derived from co-occurrence counts (Theorem 5.2:
+// D2 = 1 − |cx ∩ cy| / |cx|).
+func (e *ruleEngine) imageDist(cy, cx *Cluster, g int, co cooccurrence) float64 {
+	if e.nominal[g] {
 		// Only meaningful when cy lives on g (its image there is the
 		// single nominal value the cluster was formed on).
 		if cx.Size == 0 {
@@ -104,7 +104,7 @@ func (e *ruleEngine) imageDist(cy, cx *Cluster, g int, nominal []bool, co cooccu
 // diffuse to possibly satisfy the threshold: for D2,
 // D2² = R1² + R2² + ‖X01−X02‖², so D2 >= max(R1, R2) exactly; for other
 // metrics the same test is the paper's heuristic.
-func (e *ruleEngine) buildGraph(clusters []*Cluster, nominal []bool, st *PhaseIIStats) *graph.Undirected {
+func (e *ruleEngine) buildGraph(clusters []*Cluster, st *PhaseIIStats) *graph.Undirected {
 	g := graph.New(len(clusters))
 
 	// The image-radius bound is exact only for D2 (and conservative for
@@ -123,7 +123,7 @@ func (e *ruleEngine) buildGraph(clusters []*Cluster, nominal []bool, st *PhaseII
 		for i, c := range clusters {
 			radius[i] = make([]float64, e.numGroups)
 			for gi := 0; gi < e.numGroups; gi++ {
-				if nominal[gi] {
+				if e.nominal[gi] {
 					continue
 				}
 				radius[i][gi] = c.Image(gi).Radius()
@@ -148,13 +148,13 @@ func (e *ruleEngine) buildGraph(clusters []*Cluster, nominal []bool, st *PhaseII
 			if ci.Group == cj.Group {
 				continue
 			}
-			tI := e.edgeThreshold(ci.Group, nominal)
-			tJ := e.edgeThreshold(cj.Group, nominal)
+			tI := e.edgeThreshold(ci.Group)
+			tJ := e.edgeThreshold(cj.Group)
 			if prune {
 				// cj's image on ci's group must reach ci, and vice
 				// versa; a diffuse image cannot.
-				if !nominal[ci.Group] && (radius[j][ci.Group] > tI || radius[i][ci.Group] > tI) ||
-					!nominal[cj.Group] && (radius[i][cj.Group] > tJ || radius[j][cj.Group] > tJ) {
+				if !e.nominal[ci.Group] && (radius[j][ci.Group] > tI || radius[i][ci.Group] > tI) ||
+					!e.nominal[cj.Group] && (radius[i][cj.Group] > tJ || radius[j][cj.Group] > tJ) {
 					row.pruned++
 					continue
 				}
@@ -165,11 +165,11 @@ func (e *ruleEngine) buildGraph(clusters []*Cluster, nominal []bool, st *PhaseII
 			// back to the interval-style check only when co-occurrence
 			// data exists (handled in imageDist via rule degrees), so
 			// here nominal sides use the cluster pair's discrete D2.
-			dI := e.pairDist(ci, cj, ci.Group, nominal)
+			dI := e.pairDist(ci, cj, ci.Group)
 			if dI > tI {
 				continue
 			}
-			dJ := e.pairDist(ci, cj, cj.Group, nominal)
+			dJ := e.pairDist(ci, cj, cj.Group)
 			if dJ > tJ {
 				continue
 			}
@@ -193,8 +193,8 @@ func (e *ruleEngine) buildGraph(clusters []*Cluster, nominal []bool, st *PhaseII
 // pair as close on the nominal side (distance 0) and let the degree test
 // filter, unless one of the clusters owns the group, in which case the
 // test is deferred identically.
-func (e *ruleEngine) pairDist(a, b *Cluster, g int, nominal []bool) float64 {
-	if nominal[g] {
+func (e *ruleEngine) pairDist(a, b *Cluster, g int) float64 {
+	if e.nominal[g] {
 		return 0
 	}
 	return e.opt.Metric.Between(a.Image(g), b.Image(g))
@@ -219,14 +219,14 @@ type candidateRule struct {
 // wherever it is discovered — the distances depend only on the cluster
 // sets, not on the clique pair that surfaced them — so first-wins
 // merging yields the serial rule set exactly.
-func (e *ruleEngine) rulesFromCliques(clusters []*Cluster, cliques [][]int, nominal []bool, co cooccurrence) []Rule {
+func (e *ruleEngine) rulesFromCliques(clusters []*Cluster, cliques [][]int, co cooccurrence) []Rule {
 	var out []Rule
 	workers := e.opt.effectiveWorkers(len(cliques))
 	if workers <= 1 {
 		seen := make(map[string]bool)
 		for qi := 0; qi < len(cliques); qi++ {
 			for qj := 0; qj < len(cliques); qj++ {
-				e.rulesFromCliquePair(clusters, cliques[qi], cliques[qj], nominal, co, seen, &out)
+				e.rulesFromCliquePair(clusters, cliques[qi], cliques[qj], co, seen, &out)
 			}
 		}
 	} else {
@@ -235,7 +235,7 @@ func (e *ruleEngine) rulesFromCliques(clusters []*Cluster, cliques [][]int, nomi
 			local := make(map[string]bool)
 			var rules []Rule
 			for qj := 0; qj < len(cliques); qj++ {
-				e.rulesFromCliquePair(clusters, cliques[qi], cliques[qj], nominal, co, local, &rules)
+				e.rulesFromCliquePair(clusters, cliques[qi], cliques[qj], co, local, &rules)
 			}
 			perQ1[qi] = rules
 		})
@@ -264,7 +264,7 @@ func (e *ruleEngine) rulesFromCliques(clusters []*Cluster, cliques [][]int, nomi
 	return out
 }
 
-func (e *ruleEngine) rulesFromCliquePair(clusters []*Cluster, q1, q2 []int, nominal []bool, co cooccurrence, seen map[string]bool, out *[]Rule) {
+func (e *ruleEngine) rulesFromCliquePair(clusters []*Cluster, q1, q2 []int, co cooccurrence, seen map[string]bool, out *[]Rule) {
 	// assoc per consequent candidate: antecedent clusters strongly
 	// associated with it (Section 6.2). Distances are normalized by the
 	// consequent group's degree scale so one DegreeFactor applies across
@@ -276,14 +276,14 @@ func (e *ruleEngine) rulesFromCliquePair(clusters []*Cluster, q1, q2 []int, nomi
 	assoc := make(map[int][]assocEntry, len(q2))
 	for _, cyID := range q2 {
 		cy := clusters[cyID]
-		scale := e.degreeScale(cy.Group, nominal)
+		scale := e.degreeScale(cy.Group)
 		var entries []assocEntry
 		for _, cxID := range q1 {
 			cx := clusters[cxID]
 			if cx.Group == cy.Group || cxID == cyID {
 				continue
 			}
-			d := e.imageDist(cy, cx, cy.Group, nominal, co) / scale
+			d := e.imageDist(cy, cx, cy.Group, co) / scale
 			if d <= e.opt.DegreeFactor {
 				entries = append(entries, assocEntry{id: cxID, dist: d})
 			}
@@ -426,16 +426,4 @@ func lessInts(a, b []int) bool {
 		}
 	}
 	return len(a) < len(b)
-}
-
-// phase2 runs the rule engine under the miner's options — Phase II of
-// the batch pipeline, identical to what QuerySummary runs over a
-// Summary of the same ingest.
-func (m *Miner) phase2(clusters []*Cluster, nominal []bool, co cooccurrence) ([]Rule, PhaseIIStats) {
-	d0 := make([]float64, m.part.NumGroups())
-	for g := range d0 {
-		d0[g] = m.opt.diameterFor(g)
-	}
-	e := &ruleEngine{opt: m.opt.Query(), numGroups: m.part.NumGroups(), d0: d0}
-	return e.run(clusters, nominal, co)
 }

@@ -205,7 +205,9 @@ func (m *Miner) postScan(clusters []*Cluster, nominal []bool) (*assigner, cooccu
 				continue
 			}
 			for g := 0; g < groups; g++ {
-				if g == ng || assigned[g] == nil {
+				// co keys are unordered, so a pair of nominal groups is
+				// counted from the lower group's side only.
+				if g == ng || assigned[g] == nil || nominal[g] && g < ng {
 					continue
 				}
 				co.add(cn.ID, assigned[g].ID)

@@ -45,7 +45,7 @@ type QARResult struct {
 // NewQARMiner builds the baseline miner. minConfidence is the classical
 // confidence threshold of Dfn 4.3/4.4.
 func NewQARMiner(rel relation.Source, part *relation.Partitioning, opt Options, minConfidence float64) (*QARMiner, error) {
-	if minConfidence < 0 || minConfidence > 1 {
+	if !(minConfidence >= 0 && minConfidence <= 1) {
 		return nil, fmt.Errorf("core: minConfidence must be in [0,1], got %v", minConfidence)
 	}
 	m, err := NewMiner(rel, part, opt)
@@ -55,19 +55,24 @@ func NewQARMiner(rel relation.Source, part *relation.Partitioning, opt Options, 
 	return &QARMiner{miner: m, minConf: minConfidence}, nil
 }
 
-// Mine runs the two phases of Section 4.3.
+// Mine runs the two phases of Section 4.3. Phase I is Mine's: Ingest
+// and the summary query engine's frequent-cluster step.
 func (q *QARMiner) Mine() (*QARResult, error) {
 	m := q.miner
-	clusters, p1, err := m.phaseI()
+	start := time.Now()
+	s, err := Ingest(m.rel, m.part, m.opt)
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
+	base, e := frequentClusters(s, m.opt.Query())
+	clusters, p1 := base.Clusters, base.PhaseI
+	p1.Duration = time.Since(start)
+	start = time.Now()
 
 	// Phase II scan: each tuple becomes the itemset of its per-group
 	// nearest-cluster memberships (Section 4.3.2); cluster IDs double as
 	// item identifiers.
-	asn := newAssigner(m.part, clusters, m.membershipCaps(m.nominalGroups()))
+	asn := newAssigner(m.part, clusters, m.membershipCaps(e.nominal))
 	groups := m.part.NumGroups()
 	proj := make([][]float64, groups)
 	for g := range proj {
@@ -91,7 +96,7 @@ func (q *QARMiner) Mine() (*QARResult, error) {
 	}
 
 	arules, err := apriori.Mine(txns, apriori.Options{
-		MinSupport: m.opt.minSize(m.rel.Len()),
+		MinSupport: m.opt.Query().minSize(m.rel.Len()),
 		MaxLen:     m.opt.MaxAntecedent + m.opt.MaxConsequent,
 	}, q.minConf)
 	if err != nil {

@@ -81,61 +81,55 @@ func (res *Result) DescribeRule(r Rule, rel relation.Source, part *relation.Part
 	return b.String()
 }
 
-// Mine runs the full pipeline: Phase I clustering, the optional
-// descriptive post-scan, Phase II rule formation, and the optional
-// candidate-support rescan. Both phases parallelize across
-// Options.Workers with output bit-identical to the serial path;
-// Result.PhaseII.Workers records the effective Phase II parallelism.
+// Mine runs the full pipeline: Ingest over the relation, the summary
+// query engine's frequent-cluster step, the optional descriptive
+// post-scan, Phase II rule formation, and the optional candidate-support
+// rescan. With PostScan off the result is QueryBase(Ingest(r),
+// opt.Query()) plus the Phase I wall time; with it on, the post-scan's
+// co-occurrence counts replace the summary histograms' as the nominal
+// input to Phase II. Both phases parallelize across Options.Workers
+// with output bit-identical to the serial path; Result.PhaseII.Workers
+// records the effective Phase II parallelism.
 func (m *Miner) Mine() (*Result, error) {
-	nominal := m.nominalGroups()
-	if !m.opt.PostScan {
-		for g, isNom := range nominal {
-			if isNom {
-				return nil, fmt.Errorf("core: group %q contains nominal attributes; rule degrees over nominal data need the PostScan option (Theorem 5.2 distances come from co-occurrence counts)", m.part.Group(g).Name)
-			}
-		}
-	}
-
-	clusters, p1, err := m.phaseI()
+	start := time.Now()
+	s, err := Ingest(m.rel, m.part, m.opt)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Clusters: clusters, PhaseI: p1}
-
-	var asn *assigner
-	co := make(cooccurrence)
-	if m.opt.PostScan {
-		start := time.Now()
-		asn, co, err = m.postScan(clusters, nominal)
-		if err != nil {
-			return nil, err
-		}
-		res.PostScan.Duration = time.Since(start)
+	// The summary is Mine's own, so its ACFs need no clone.
+	res, e := frequentClusters(s, m.opt.Query())
+	res.PhaseI.Duration = time.Since(start)
+	if !m.opt.PostScan {
+		res.Rules, res.PhaseII = e.run(res.Clusters, summaryCooccurrence(res.Clusters, e.nominal))
+		return res, nil
 	}
 
-	rules, p2 := m.phase2(clusters, nominal, co)
-	res.Rules = rules
-	res.PhaseII = p2
+	start = time.Now()
+	asn, co, err := m.postScan(res.Clusters, e.nominal)
+	if err != nil {
+		return nil, err
+	}
+	res.PostScan.Duration = time.Since(start)
 
-	if m.opt.PostScan {
-		start := time.Now()
-		if err := m.countRuleSupport(res.Rules, clusters, asn); err != nil {
-			return nil, err
-		}
-		res.PostScan.SupportDuration = time.Since(start)
-		if m.opt.MinRuleSupport > 0 {
-			// Section 6.2: with the additional frequency requirement the
-			// Phase II output is only a candidate set; the rescan's
-			// counts settle which candidates survive.
-			minCount := int64(m.opt.MinRuleSupport * float64(m.rel.Len()))
-			kept := res.Rules[:0]
-			for _, r := range res.Rules {
-				if r.Support >= minCount {
-					kept = append(kept, r)
-				}
+	res.Rules, res.PhaseII = e.run(res.Clusters, co)
+
+	start = time.Now()
+	if err := m.countRuleSupport(res.Rules, res.Clusters, asn); err != nil {
+		return nil, err
+	}
+	res.PostScan.SupportDuration = time.Since(start)
+	if m.opt.MinRuleSupport > 0 {
+		// Section 6.2: with the additional frequency requirement the
+		// Phase II output is only a candidate set; the rescan's counts
+		// settle which candidates survive.
+		minCount := int64(m.opt.MinRuleSupport * float64(m.rel.Len()))
+		kept := res.Rules[:0]
+		for _, r := range res.Rules {
+			if r.Support >= minCount {
+				kept = append(kept, r)
 			}
-			res.Rules = kept
 		}
+		res.Rules = kept
 	}
 	return res, nil
 }
@@ -154,20 +148,4 @@ func (m *Miner) membershipCaps(nominal []bool) []float64 {
 		caps[g] = m.opt.diameterFor(g)
 	}
 	return caps
-}
-
-// nominalGroups flags attribute groups containing nominal attributes;
-// their geometry is the 0/1 discrete metric of Section 5.1, so they are
-// clustered with threshold 0 (Theorem 5.1) and measured via co-occurrence.
-func (m *Miner) nominalGroups() []bool {
-	out := make([]bool, m.part.NumGroups())
-	for g := range out {
-		for _, a := range m.part.Group(g).Attrs {
-			if m.rel.Schema().Attr(a).Kind == relation.Nominal {
-				out[g] = true
-				break
-			}
-		}
-	}
-	return out
 }

@@ -92,3 +92,37 @@ func nominalIntervalRelation(rng *rand.Rand, n int, conf float64) *relation.Rela
 	}
 	return r
 }
+
+// mixedNominalRelation has two nominal and two noisy interval columns:
+// Job picks a Salary band and, three times in four, the City; City
+// picks an Age band. Uniform noise on both interval columns makes the
+// Phase I trees and the post-scan's nearest-centroid membership
+// disagree about some tuples.
+func mixedNominalRelation(rng *rand.Rand, n int) *relation.Relation {
+	s := relation.MustSchema(
+		relation.Attribute{Name: "Job", Kind: relation.Nominal},
+		relation.Attribute{Name: "City", Kind: relation.Nominal},
+		relation.Attribute{Name: "Salary", Kind: relation.Interval},
+		relation.Attribute{Name: "Age", Kind: relation.Interval},
+	)
+	r := relation.NewRelation(s)
+	jobs := []string{"DBA", "Eng", "Mgr", "Ops"}
+	cities := []string{"NYC", "SFO", "LAX"}
+	for i := 0; i < n; i++ {
+		j := rng.Intn(len(jobs))
+		c := j % len(cities)
+		if rng.Float64() < 0.25 {
+			c = rng.Intn(len(cities))
+		}
+		salary := 40 + 20*float64(j) + rng.NormFloat64()*1.5
+		if rng.Float64() < 0.2 {
+			salary = 30 + rng.Float64()*80
+		}
+		age := 25 + 15*float64(c) + rng.NormFloat64()*2
+		if rng.Float64() < 0.15 {
+			age = 20 + rng.Float64()*50
+		}
+		r.MustAppend([]float64{s.Attr(0).Dict.Code(jobs[j]), s.Attr(1).Dict.Code(cities[c]), salary, age})
+	}
+	return r
+}

@@ -46,10 +46,10 @@ type Options struct {
 }
 
 func (o Options) validate() error {
-	if o.MinSupport <= 0 || o.MinSupport > 1 {
+	if !(o.MinSupport > 0 && o.MinSupport <= 1) {
 		return fmt.Errorf("qar: MinSupport must be in (0,1], got %v", o.MinSupport)
 	}
-	if o.MinConfidence < 0 || o.MinConfidence > 1 {
+	if !(o.MinConfidence >= 0 && o.MinConfidence <= 1) {
 		return fmt.Errorf("qar: MinConfidence must be in [0,1], got %v", o.MinConfidence)
 	}
 	if o.Partitions < 0 {

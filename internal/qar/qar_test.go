@@ -1,6 +1,7 @@
 package qar
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -21,6 +22,8 @@ func TestOptionsValidate(t *testing.T) {
 		{"support > 1", func(o *Options) { o.MinSupport = 2 }},
 		{"negative confidence", func(o *Options) { o.MinConfidence = -1 }},
 		{"confidence > 1", func(o *Options) { o.MinConfidence = 2 }},
+		{"NaN confidence", func(o *Options) { o.MinConfidence = math.NaN() }},
+		{"NaN support", func(o *Options) { o.MinSupport = math.NaN() }},
 		{"negative partitions", func(o *Options) { o.Partitions = -1 }},
 		{"no sizing", func(o *Options) { o.Partitions = 0; o.CompletenessLevel = 0 }},
 	}

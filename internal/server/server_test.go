@@ -787,6 +787,37 @@ func overflowCSV() []byte {
 	return b.Bytes()
 }
 
+// TestIngestRejectsNonFiniteThresholds: a d0 or a ?d0s= entry that is
+// NaN, infinite or negative is a client error on both ingest endpoints.
+// Accepted, a NaN d0 put every tuple in its own cluster and stored a
+// summary whose JSON rendering failed after the 200 header, and a bad
+// ?d0s= entry silently fell back to threshold 0.
+func TestIngestRejectsNonFiniteThresholds(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	body := salaryCSV(t) // three groups: Age, Salary, Dept
+	var urls []string
+	for _, d0 := range []string{"NaN", "Inf", "-Inf"} {
+		urls = append(urls, "/v1/ingest?name=bad&d0="+d0, "/v1/ingest/shard?d0="+d0)
+	}
+	for _, d0s := range []string{"NaN,1,0", "1,NaN,0", "-1,1,0", "1,-0.5,0", "Inf,1,0", "1,1,-Inf"} {
+		urls = append(urls, "/v1/ingest/shard?d0s="+d0s)
+	}
+	for _, u := range urls {
+		resp, err := http.Post(ts.URL+u, "text/csv", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", u, err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(b, []byte("DiameterThreshold")) {
+			t.Errorf("POST %s: status %d, want 400 naming the threshold (body %.120q)", u, resp.StatusCode, b)
+		}
+	}
+	if _, ok := srv.catalog.version("bad"); ok {
+		t.Error("a rejected ingest installed a summary")
+	}
+}
+
 // TestIngestRejectsOverflowingSums pins the answer to a relation whose
 // sums overflow: both ingest endpoints answer 400 at the serial and the
 // pipelined worker counts, with or without a d0, nothing lands in the
