@@ -78,18 +78,22 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=30s ./internal/summary
 	$(GO) test -run='^$$' -fuzz=FuzzPlanShards -fuzztime=30s ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzRefine -fuzztime=30s ./internal/cftree
+	$(GO) test -run='^$$' -fuzz=FuzzInsertFlatBatch -fuzztime=30s ./internal/cftree
 
 # A short .acfsum decoder fuzz under the race detector, cheap enough to
 # gate every CI run: Decode must never panic on hostile bytes, and
 # whatever it accepts must re-encode canonically. The shard-plan fuzz
 # checks that darc's byte-range shards parse back to the body's rows;
 # the refinement fuzz pins cftree.Refine to its full-rescan reference;
-# the CSV fuzz pins ParseCSV's byte scanner to the encoding/csv loop.
+# the insert fuzz pins the batched insert kernel (InsertFlatBatch) to its
+# per-tuple reference over random shapes, budgets and chunkings; the CSV
+# fuzz pins ParseCSV's byte scanner to the encoding/csv loop.
 fuzzsmoke:
 	$(GO) test -race -run='^$$' -fuzz=FuzzDecode -fuzztime=10s ./internal/summary
 	$(GO) test -race -run='^$$' -fuzz=FuzzQueryOptions -fuzztime=10s ./internal/core
 	$(GO) test -race -run='^$$' -fuzz=FuzzPlanShards -fuzztime=10s ./internal/cluster
 	$(GO) test -race -run='^$$' -fuzz=FuzzRefine -fuzztime=10s ./internal/cftree
+	$(GO) test -race -run='^$$' -fuzz=FuzzInsertFlatBatch -fuzztime=10s ./internal/cftree
 	$(GO) test -race -run='^$$' -fuzz=FuzzParseCSV -fuzztime=10s ./internal/relation
 
 # The entry-point and query-mode differential suites under the race

@@ -264,16 +264,16 @@ func BenchmarkSA96Baseline(b *testing.B) {
 // --- substrate micro-benchmarks ---
 
 // BenchmarkCFTreeInsert measures the Phase I inner loop: one tuple into
-// one ACF-tree.
+// one ACF-tree, a batch of one as streaming ingest inserts it.
 func BenchmarkCFTreeInsert(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	tr := cftree.New(cf.Shape{1, 1}, 0, cftree.Config{Threshold: 2})
-	proj := [][]float64{{0}, {0}}
+	row := []float64{0, 0}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		proj[0][0] = float64(rng.Intn(35))*10 + rng.NormFloat64()*0.5
-		proj[1][0] = proj[0][0] * 2
-		tr.Insert(proj)
+		row[0] = float64(rng.Intn(35))*10 + rng.NormFloat64()*0.5
+		row[1] = row[0] * 2
+		tr.InsertFlatBatch(row, 1, 2)
 	}
 }
 
@@ -322,14 +322,14 @@ func BenchmarkCliqueEnumeration(b *testing.B) {
 func BenchmarkRefine(b *testing.B) {
 	leavesOf := func(seed int64, trees, clusters, points int) []*cf.ACF {
 		rng := rand.New(rand.NewSource(seed))
-		proj := [][]float64{{0}, {0}}
+		row := []float64{0, 0}
 		var leaves []*cf.ACF
 		for t := 0; t < trees; t++ {
 			tr := cftree.New(cf.Shape{1, 1}, 0, cftree.Config{Threshold: 2})
 			for i := 0; i < points; i++ {
-				proj[0][0] = float64(rng.Intn(clusters))*10 + rng.NormFloat64()*0.5
-				proj[1][0] = proj[0][0]
-				tr.Insert(proj)
+				row[0] = float64(rng.Intn(clusters))*10 + rng.NormFloat64()*0.5
+				row[1] = row[0]
+				tr.InsertFlatBatch(row, 1, 2)
 			}
 			leaves = append(leaves, tr.Leaves()...)
 		}

@@ -19,14 +19,15 @@ import (
 // Section 6.1): merging two disjoint clusters' ACFs yields the ACF of the
 // union.
 //
-// Layout: constructors back LS and SS with one contiguous []float64 — the
-// per-group LS slices and the SS slice are views into it (LS groups in
-// order, then SS). Phase I maintains millions of these small dense vectors,
-// so the flat backing cuts the constructor to two allocations and keeps
-// AddRow/Merge on a single cache line per small group. The exported fields
-// keep their slice-of-slices shape, and every method also accepts ACFs with
-// independently allocated slices (gob decoding and struct literals produce
-// those), falling back to the per-group path.
+// Layout: NewACF, NewACFTracked and Clone back LS and SS with one
+// contiguous []float64 — the per-group LS slices and the SS slice are
+// views into it (LS groups in order, then SS). Phase I maintains millions
+// of these small dense vectors, so the flat backing cuts the constructor
+// to two allocations and keeps the row kernels and Merge on a single cache
+// line per small group. The exported fields keep their slice-of-slices
+// shape for readers, but the kernels (AddRowOwn, AddRows, Merge) index the
+// backing directly and panic on an ACF assembled field by field (a gob
+// decode, a struct literal): re-flatten such an ACF with Clone first.
 type ACF struct {
 	// N is the number of tuples summarized.
 	N int64
@@ -46,18 +47,16 @@ type ACF struct {
 	// exactly. nil (or a nil slice) means the group is untracked.
 	NomCounts []map[string]int64
 
-	// flat is the shared backing array of LS and SS when the ACF was built
-	// by a constructor: all LS groups concatenated, then the SS values.
-	// nil for ACFs assembled field-by-field (gob, literals); such ACFs use
-	// the slower per-group paths but behave identically.
+	// flat is the shared backing array of LS and SS: all LS groups
+	// concatenated, then the SS values. nil only for ACFs assembled field
+	// by field, which the kernels reject (mustFlat).
 	flat []float64
 	// uniform records that every group is one-dimensional (so the row
-	// index IS the group index), unlocking the tightest AddRow loop.
+	// index IS the group index), unlocking the tightest AddRows loop.
 	uniform bool
 	// ownOff caches the offset of the owning group's segment inside a
-	// flat projection row (Σ len(LS[g]) for g < Own), so the split
-	// AddRowOwn/AddRows kernels do not rescan the shape per call. Only
-	// valid on constructor-built ACFs; the loose paths re-derive it.
+	// flat projection row (Σ len(LS[g]) for g < Own), so the row kernels
+	// do not rescan the shape per call.
 	ownOff int
 }
 
@@ -93,13 +92,14 @@ func NewACFTracked(shape Shape, own int, track []bool) *ACF {
 		LS:      make([][]float64, len(shape)),
 		SS:      flat[total : total+len(shape)],
 		flat:    flat,
-		uniform: total == len(shape) && minDim(shape) == 1,
+		uniform: true,
 	}
 	off := 0
 	for g, dims := range shape {
 		if g == own {
 			a.ownOff = off
 		}
+		a.uniform = a.uniform && dims == 1
 		a.LS[g] = flat[off : off+dims : off+dims]
 		off += dims
 	}
@@ -207,56 +207,9 @@ func (a *ACF) AddTuple(proj [][]float64) {
 	}
 }
 
-// AddRow folds one tuple given as a flat projection row — the per-group
-// projections concatenated in group order, exactly the LS layout. This is
-// the Phase I hot path: one fused pass over contiguous memory, and with a
-// non-nil interner the histogram update of tracked groups is
-// allocation-free for already-seen values.
-func (a *ACF) AddRow(row []float64, it *Interner) {
-	a.N++
-	// Both arms accumulate straight into LS and SS[g], value by value,
-	// exactly like AddTuple: same operations in the same order keeps
-	// results bit-identical to the pre-flat code and the .acfsum goldens.
-	if a.flat != nil {
-		// Flat backing: the row layout coincides with the LS prefix of
-		// flat, so one fused pass updates LS in place and steps the group
-		// index for SS — no per-group slicing in the hot path. When every
-		// group is 1-D (singleton partitionings — the common case), the
-		// row index is the group index and the loop needs no stepping.
-		ls, ss := a.flat, a.SS
-		if a.uniform && len(row) == len(ss) {
-			for i, v := range row {
-				ls[i] += v
-				ss[i] += v * v
-			}
-			a.addRowHists(row, it)
-			return
-		}
-		g, end := 0, len(a.LS[0])
-		for i, v := range row {
-			for i >= end {
-				g++
-				end += len(a.LS[g])
-			}
-			ls[i] += v
-			ss[g] += v * v
-		}
-	} else {
-		off := 0
-		for g, ls := range a.LS {
-			seg := row[off : off+len(ls)]
-			for i, v := range seg {
-				ls[i] += v
-				a.SS[g] += v * v
-			}
-			off += len(ls)
-		}
-	}
-	a.addRowHists(row, it)
-}
-
-// addRowHists is AddRow's histogram tail: tracked groups count the exact
-// projected value of the tuple, interned when an Interner is supplied.
+// addRowHists is the histogram half of AddRowOwn: tracked groups count
+// the exact projected value of the tuple, interned when an Interner is
+// supplied.
 func (a *ACF) addRowHists(row []float64, it *Interner) {
 	if a.NomCounts == nil {
 		return
@@ -275,36 +228,34 @@ func (a *ACF) addRowHists(row []float64, it *Interner) {
 	}
 }
 
-// rowOwnOff returns the offset of the owning group's segment inside a
-// flat projection row, using the cached value on constructor-built ACFs
-// and re-deriving it from the shape otherwise.
-func (a *ACF) rowOwnOff() int {
-	if a.flat != nil {
-		return a.ownOff
+// mustFlat panics unless the ACF was built by NewACF, NewACFTracked or
+// Clone. The kernels index the flat backing and the cached own-group
+// offset directly; an ACF assembled field by field has neither, and
+// folding into it would add into the wrong cells (or none) silently.
+func (a *ACF) mustFlat() {
+	if a.flat == nil {
+		panic("cf: ACF not built by NewACF, NewACFTracked or Clone; re-flatten it with Clone")
 	}
-	off := 0
-	for g := 0; g < a.Own; g++ {
-		off += len(a.LS[g])
-	}
-	return off
 }
 
-// AddRowOwn is the eager half of the split-row insert: it folds the
-// owning group's segment of the flat projection row — plus N and the
-// exact-value histograms — and nothing else. Everything the ACF-tree's
-// descent, admission test and split logic reads (N, LS[Own], SS[Own],
-// the centroid caches derived from them) is therefore up to date after
-// this call, while the cross-group Eq. 7 sums are deferred until AddRows
-// applies them batched. AddRowOwn(row) followed by AddRows over the same
-// row is bit-identical to AddRow(row): every float cell still receives
-// the same additions in the same tuple order — the split only reorders
-// updates *across* cells, which IEEE addition per cell cannot observe,
-// and the histogram counts are integers.
+// AddRowOwn is the eager half of the row insert: it folds the owning
+// group's segment of a flat projection row (the per-group projections
+// concatenated in group order, exactly the LS layout) — plus N and the
+// exact-value histograms, allocation-free for already-seen values with a
+// non-nil interner — and nothing else. Everything the ACF-tree's descent,
+// admission test and split logic reads (N, LS[Own], SS[Own], the centroid
+// caches derived from them) is therefore up to date after this call,
+// while the cross-group Eq. 7 sums are deferred until AddRows applies them
+// batched. AddRowOwn(row) followed by AddRows over the same row is
+// bit-identical to AddTuple on the row's projections: every float cell
+// receives the same additions in the same tuple order — the split only
+// reorders updates *across* cells, which IEEE addition per cell cannot
+// observe, and the histogram counts are integers.
 func (a *ACF) AddRowOwn(row []float64, it *Interner) {
+	a.mustFlat()
 	a.N++
-	off := a.rowOwnOff()
 	ls := a.LS[a.Own]
-	seg := row[off : off+len(ls)]
+	seg := row[a.ownOff : a.ownOff+len(ls)]
 	ss := a.SS
 	for i, v := range seg {
 		ls[i] += v
@@ -313,82 +264,51 @@ func (a *ACF) AddRowOwn(row []float64, it *Interner) {
 	a.addRowHists(row, it)
 }
 
-// AddRows is the batched half of the split-row insert: it applies the
-// deferred cross-group LS/SS updates of n consecutive flat rows (rows
-// holds n×stride floats) in one contiguous pass per row, skipping the
-// owning group that AddRowOwn already folded. The Phase I batch insert
-// uses it to fuse the inner row-update loop over a whole run of tuples
-// admitted into the same cluster: one call, one walk of the ACF's flat
-// backing per row, no per-tuple layout checks. Pairs with AddRowOwn —
-// see there for the bit-identity argument.
+// AddRows is the batched half of the row insert: it applies the deferred
+// cross-group LS/SS updates of n consecutive flat rows (rows holds
+// n×stride floats) in one contiguous pass per row, skipping the owning
+// group that AddRowOwn already folded. The Phase I insert kernel uses it
+// to fuse the inner row-update loop over a whole run of tuples admitted
+// into the same cluster: one call, one walk of the ACF's flat backing per
+// row, no per-tuple layout checks. Pairs with AddRowOwn — see there for
+// the bit-identity argument.
 func (a *ACF) AddRows(rows []float64, stride, n int) {
-	o0 := a.rowOwnOff()
+	a.mustFlat()
+	o0 := a.ownOff
 	o1 := o0 + len(a.LS[a.Own])
-	if a.flat != nil {
-		ls, ss := a.flat, a.SS
-		if a.uniform && stride == len(ss) {
-			// Uniform shape: the row index is the group index, so the
-			// own-group skip is a single hole in one fused LS/SS loop.
-			for r := 0; r < n; r++ {
-				row := rows[r*stride : (r+1)*stride]
-				for i, v := range row[:o0] {
-					ls[i] += v
-					ss[i] += v * v
-				}
-				for i := o1; i < stride; i++ {
-					v := row[i]
-					ls[i] += v
-					ss[i] += v * v
-				}
-			}
-			return
-		}
+	ls, ss := a.flat, a.SS
+	if a.uniform && stride == len(ss) {
+		// Uniform shape: the row index is the group index, so the
+		// own-group skip is a single hole in one fused LS/SS loop.
 		for r := 0; r < n; r++ {
 			row := rows[r*stride : (r+1)*stride]
-			g, end := 0, len(a.LS[0])
-			for i, v := range row {
-				for i >= end {
-					g++
-					end += len(a.LS[g])
-				}
-				if i >= o0 && i < o1 {
-					continue
-				}
+			for i, v := range row[:o0] {
 				ls[i] += v
-				ss[g] += v * v
+				ss[i] += v * v
+			}
+			for i := o1; i < stride; i++ {
+				v := row[i]
+				ls[i] += v
+				ss[i] += v * v
 			}
 		}
 		return
 	}
 	for r := 0; r < n; r++ {
 		row := rows[r*stride : (r+1)*stride]
-		off := 0
-		for g, ls := range a.LS {
-			if g != a.Own {
-				seg := row[off : off+len(ls)]
-				for i, v := range seg {
-					ls[i] += v
-					a.SS[g] += v * v
-				}
+		g, end := 0, len(a.LS[0])
+		for i, v := range row {
+			for i >= end {
+				g++
+				end += len(a.LS[g])
 			}
-			off += len(ls)
+			if i >= o0 && i < o1 {
+				continue
+			}
+			ls[i] += v
+			ss[g] += v * v
 		}
 	}
-}
-
-// minDim returns the smallest group dimensionality of the shape (0 for an
-// empty shape).
-func minDim(s Shape) int {
-	if len(s) == 0 {
-		return 0
-	}
-	m := s[0]
-	for _, d := range s[1:] {
-		if d < m {
-			m = d
-		}
-	}
-	return m
 }
 
 // Merge folds another ACF into this one (ACF additivity). Both must be
@@ -400,22 +320,15 @@ func (a *ACF) Merge(o *ACF) {
 	if len(o.LS) != len(a.LS) {
 		panic(fmt.Sprintf("cf: merging ACF with %d groups into %d", len(o.LS), len(a.LS)))
 	}
+	a.mustFlat()
+	o.mustFlat()
+	if len(o.flat) != len(a.flat) {
+		panic(fmt.Sprintf("cf: merging ACF of %d sums into one of %d", len(o.flat), len(a.flat)))
+	}
 	a.N += o.N
-	if a.flat != nil && o.flat != nil && len(a.flat) == len(o.flat) {
-		// Both flat-backed: LS and SS add in one contiguous pass. The
-		// additions are the same elementwise operations as the per-group
-		// path, so the result is bit-identical.
-		for i, v := range o.flat {
-			a.flat[i] += v
-		}
-	} else {
-		for g := range a.LS {
-			a.SS[g] += o.SS[g]
-			ls, ols := a.LS[g], o.LS[g]
-			for i := range ls {
-				ls[i] += ols[i]
-			}
-		}
+	// LS and SS add in one contiguous pass over the backings.
+	for i, v := range o.flat {
+		a.flat[i] += v
 	}
 	for g, hist := range a.NomCounts {
 		if hist == nil {
@@ -436,8 +349,9 @@ func (a *ACF) Merge(o *ACF) {
 	}
 }
 
-// Clone returns an independent deep copy (flat-backed regardless of the
-// source's layout).
+// Clone returns an independent deep copy over a fresh flat backing,
+// whatever the source's layout: this is how an ACF assembled field by
+// field (a gob decode) becomes one the kernels accept.
 func (a *ACF) Clone() *ACF {
 	total := 0
 	for _, ls := range a.LS {
@@ -450,13 +364,14 @@ func (a *ACF) Clone() *ACF {
 		LS:      make([][]float64, len(a.LS)),
 		SS:      flat[total:],
 		flat:    flat,
-		uniform: a.uniform,
+		uniform: true,
 	}
 	off := 0
 	for g, ls := range a.LS {
 		if g == a.Own {
 			c.ownOff = off
 		}
+		c.uniform = c.uniform && len(ls) == 1
 		c.LS[g] = flat[off : off+len(ls) : off+len(ls)]
 		copy(c.LS[g], ls)
 		off += len(ls)
@@ -531,9 +446,9 @@ func (a *ACF) Diameter() float64 { return a.OwnSummary().Diameter() }
 
 // Bytes estimates the heap footprint for memory accounting: headers plus
 // every projection's backing array, plus the exact-value histograms when
-// tracking is enabled. The formula is kept independent of the physical
-// layout (flat-backed or per-group) so the estimate — and with it every
-// tree's rebuild schedule — is identical for both. Note cftree.Tree sizes
+// tracking is enabled. The formula is a function of the shape alone (it
+// predates the flat backing and is kept so the rebuild schedules and the
+// .acfsum goldens stay put). Note cftree.Tree sizes
 // its per-entry budget from an untracked NewACF, so histogram growth
 // never changes the tree's rebuild schedule — tracked and untracked
 // ingests cluster identically.

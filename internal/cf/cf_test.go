@@ -181,6 +181,16 @@ func TestACFMergePanics(t *testing.T) {
 		}()
 		a.Merge(c)
 	}()
+	// Same group count, different dims: the backings differ in length.
+	d := NewACF(Shape{2, 1}, 0)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("no panic merging groups of different dims")
+			}
+		}()
+		a.Merge(d)
+	}()
 }
 
 // ACF additivity (the extension of the Additivity Theorem claimed in §6.1):
@@ -369,9 +379,9 @@ func TestACFBytesTracksHistograms(t *testing.T) {
 	}
 }
 
-// The flat backing is an implementation detail: ACFs assembled
-// field-by-field (gob decoding produces those) must behave identically.
-func nonFlatACF(shape Shape, own int) *ACF {
+// looseACF assembles an ACF field by field, as gob decoding does: per-group
+// slices with no flat backing.
+func looseACF(shape Shape, own int) *ACF {
 	a := &ACF{Own: own, LS: make([][]float64, len(shape)), SS: make([]float64, len(shape))}
 	for g, d := range shape {
 		a.LS[g] = make([]float64, d)
@@ -379,86 +389,46 @@ func nonFlatACF(shape Shape, own int) *ACF {
 	return a
 }
 
-func TestACFAddRowMatchesAddTuple(t *testing.T) {
-	shape := sampleShape()
-	rng := rand.New(rand.NewSource(11))
-	track := []bool{false, true, false}
-	byTuple := NewACFTracked(shape, 1, track)
-	byRowFlat := NewACFTracked(shape, 1, track)
-	byRowLoose := nonFlatACF(shape, 1)
-	byRowLoose.NomCounts = []map[string]int64{nil, {}, nil}
-	it := NewInterner()
-	for i := 0; i < 50; i++ {
-		proj := randProj(rng, shape)
-		var row []float64
-		for _, p := range proj {
-			row = append(row, p...)
-		}
-		byTuple.AddTuple(proj)
-		byRowFlat.AddRow(row, it)
-		byRowLoose.AddRow(row, nil)
-	}
-	for _, got := range []*ACF{byRowFlat, byRowLoose} {
-		if got.N != byTuple.N {
-			t.Fatalf("N = %d, want %d", got.N, byTuple.N)
-		}
-		for g := range shape {
-			if got.SS[g] != byTuple.SS[g] {
-				t.Errorf("SS[%d] = %v, want %v", g, got.SS[g], byTuple.SS[g])
-			}
-			if !reflect.DeepEqual(got.LS[g], byTuple.LS[g]) {
-				t.Errorf("LS[%d] = %v, want %v", g, got.LS[g], byTuple.LS[g])
-			}
-		}
-		if !reflect.DeepEqual(got.NomCounts[1], byTuple.NomCounts[1]) {
-			t.Errorf("NomCounts = %v, want %v", got.NomCounts[1], byTuple.NomCounts[1])
-		}
-	}
-	if it.Len() != len(byTuple.NomCounts[1]) {
-		t.Errorf("interner holds %d keys, histogram %d", it.Len(), len(byTuple.NomCounts[1]))
-	}
-}
-
-// Merge must produce bit-identical sums whichever side is flat-backed:
-// the flat fast path performs the same elementwise additions.
-func TestACFMergeFlatAndLooseBitIdentical(t *testing.T) {
-	shape := sampleShape()
-	rng := rand.New(rand.NewSource(7))
-	mkPair := func() (*ACF, *ACF) {
-		flat, loose := NewACF(shape, 0), nonFlatACF(shape, 0)
-		for i := 0; i < 20; i++ {
-			proj := randProj(rng, shape)
-			flat.AddTuple(proj)
-			loose.N++
-			for g, p := range proj {
-				for j, v := range p {
-					loose.LS[g][j] += v
-					loose.SS[g] += v * v
+// The kernels index the flat backing directly, so an ACF assembled field
+// by field must make them panic rather than fold into the wrong cells;
+// Clone re-flattens it (deriving the uniform fast path from the shape),
+// after which every kernel accepts it and the sums are untouched.
+func TestACFKernelsRequireFlatLayout(t *testing.T) {
+	shape := Shape{1, 1, 1}
+	row := []float64{1, 2, 3}
+	loose := looseACF(shape, 1)
+	loose.AddTuple([][]float64{{4}, {5}, {6}})
+	for _, k := range []struct {
+		name string
+		op   func()
+	}{
+		{"AddRowOwn", func() { loose.AddRowOwn(row, nil) }},
+		{"AddRows", func() { loose.AddRows(row, 3, 1) }},
+		{"Merge into", func() { loose.Merge(NewACF(shape, 1)) }},
+		{"Merge from", func() { NewACF(shape, 1).Merge(loose) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a field-by-field ACF did not panic", k.name)
 				}
-			}
-		}
-		return flat, loose
+			}()
+			k.op()
+		}()
 	}
-	af, al := mkPair()
-	bf, bl := mkPair()
-	af.Merge(bf) // flat into flat
-	al.Merge(bl) // loose into loose
-	cf := af.Clone()
-	cf.Merge(bl) // would double-count; only layout comparison below matters
-	for g := range shape {
-		if !reflect.DeepEqual(af.LS[g], al.LS[g]) || af.SS[g] != al.SS[g] {
-			t.Errorf("group %d: flat merge %v/%v != loose merge %v/%v",
-				g, af.LS[g], af.SS[g], al.LS[g], al.SS[g])
-		}
+	c := loose.Clone()
+	if !c.uniform || c.ownOff != 1 {
+		t.Errorf("Clone of a loose ACF: uniform %v, ownOff %d; want true, 1", c.uniform, c.ownOff)
 	}
-}
-
-// Bytes must be a function of the logical shape only — the rebuild
-// schedule (entryBytes) and the .acfsum goldens depend on it.
-func TestACFBytesLayoutIndependent(t *testing.T) {
-	shape := sampleShape()
-	if got, want := NewACF(shape, 0).Bytes(), nonFlatACF(shape, 0).Bytes(); got != want {
-		t.Errorf("flat Bytes %d != loose Bytes %d", got, want)
+	c.AddRowOwn(row, nil)
+	c.AddRows(row, 3, 1)
+	c.Merge(c.Clone())
+	want := NewACF(shape, 1)
+	want.AddTuple([][]float64{{4}, {5}, {6}})
+	want.AddTuple([][]float64{{1}, {2}, {3}})
+	want.Merge(want.Clone())
+	if c.N != want.N || !reflect.DeepEqual(c.LS, want.LS) || !reflect.DeepEqual(c.SS, want.SS) {
+		t.Errorf("re-flattened ACF = N %d LS %v SS %v, want N %d LS %v SS %v", c.N, c.LS, c.SS, want.N, want.LS, want.SS)
 	}
 }
 
@@ -505,68 +475,122 @@ func BenchmarkInternerKey(b *testing.B) {
 	}
 }
 
-// The split-row kernels must compose to exactly AddRow: AddRowOwn folds
-// the own group (plus N and histograms) eagerly, AddRows applies the
-// deferred cross-group sums of a whole run, and every float cell ends up
-// bit-identical to the fused per-row path — across flat uniform, flat
-// non-uniform and loose layouts, tracked groups included, and for run
-// lengths above one.
-func TestACFSplitRowMatchesAddRow(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		shape Shape
-		own   int
-	}{
-		{"non-uniform", Shape{2, 1, 3}, 1},
-		{"uniform", Shape{1, 1, 1, 1}, 2},
-		{"own-first", Shape{2, 2}, 0},
-		{"own-last", Shape{1, 2}, 1},
-	} {
+// addRowAlone folds one flat row with no run to batch it with: AddRowOwn,
+// then AddRows over a run of one — the streaming ingest path.
+func addRowAlone(a *ACF, row []float64, it *Interner) {
+	a.AddRowOwn(row, it)
+	a.AddRows(row, len(row), 1)
+}
+
+// assertSameACF fails unless got and want hold bit-identical N, LS, SS
+// and exact-value histograms.
+func assertSameACF(t *testing.T, got, want *ACF) {
+	t.Helper()
+	if got.N != want.N {
+		t.Fatalf("N = %d, want %d", got.N, want.N)
+	}
+	for g := range want.LS {
+		if got.SS[g] != want.SS[g] {
+			t.Errorf("SS[%d] = %v, want %v", g, got.SS[g], want.SS[g])
+		}
+		if !reflect.DeepEqual(got.LS[g], want.LS[g]) {
+			t.Errorf("LS[%d] = %v, want %v", g, got.LS[g], want.LS[g])
+		}
+	}
+	if !reflect.DeepEqual(got.NomCounts, want.NomCounts) {
+		t.Errorf("NomCounts = %v, want %v", got.NomCounts, want.NomCounts)
+	}
+}
+
+// A row folded alone must land exactly where the cell-by-cell AddTuple
+// puts it, the tracked group's histogram and the interner's keys
+// included.
+func TestACFAddRowMatchesAddTuple(t *testing.T) {
+	shape := sampleShape()
+	rng := rand.New(rand.NewSource(11))
+	track := []bool{false, true, false}
+	byTuple := NewACFTracked(shape, 1, track)
+	byRow := NewACFTracked(shape, 1, track)
+	it := NewInterner()
+	for i := 0; i < 50; i++ {
+		proj := randProj(rng, shape)
+		var row []float64
+		for _, p := range proj {
+			row = append(row, p...)
+		}
+		byTuple.AddTuple(proj)
+		addRowAlone(byRow, row, it)
+	}
+	assertSameACF(t, byRow, byTuple)
+	if it.Len() != len(byTuple.NomCounts[1]) {
+		t.Errorf("interner holds %d keys, histogram %d", it.Len(), len(byTuple.NomCounts[1]))
+	}
+}
+
+// splitRowCases are the shapes the split-row kernels are checked over:
+// uniform and non-uniform, the own group first, inner and last.
+var splitRowCases = []struct {
+	name  string
+	shape Shape
+	own   int
+}{
+	{"non-uniform", Shape{2, 1, 3}, 1},
+	{"uniform", Shape{1, 1, 1, 1}, 2},
+	{"own-first", Shape{2, 2}, 0},
+	{"own-last", Shape{1, 2}, 1},
+}
+
+// checkSplitRuns runs every splitRowCases shape with the own group and
+// the one after it tracked. It feeds three runs of random rows (lengths
+// 1, 3 and 5) own-then-batched to a split ACF and tuple by tuple to ref,
+// which folds each into the reference ACF, then compares the two.
+func checkSplitRuns(t *testing.T, ref func(a *ACF, proj [][]float64, row []float64)) {
+	for _, tc := range splitRowCases {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(23))
 			track := make([]bool, len(tc.shape))
 			track[tc.own] = true
-			fused := NewACFTracked(tc.shape, tc.own, track)
+			track[(tc.own+1)%len(tc.shape)] = true
+			want := NewACFTracked(tc.shape, tc.own, track)
 			split := NewACFTracked(tc.shape, tc.own, track)
-			loose := nonFlatACF(tc.shape, tc.own)
 			stride := tc.shape.Dims()
-			itF, itS := NewInterner(), NewInterner()
-			// Three runs of different lengths, each applied per-row to the
-			// fused ACF and own-then-batched to the split ones.
+			it := NewInterner()
 			for _, run := range []int{1, 3, 5} {
 				rows := make([]float64, 0, run*stride)
 				for r := 0; r < run; r++ {
-					for _, p := range randProj(rng, tc.shape) {
+					proj := randProj(rng, tc.shape)
+					for _, p := range proj {
 						rows = append(rows, p...)
 					}
+					ref(want, proj, rows[r*stride:(r+1)*stride])
 				}
 				for r := 0; r < run; r++ {
-					row := rows[r*stride : (r+1)*stride]
-					fused.AddRow(row, itF)
-					split.AddRowOwn(row, itS)
-					loose.AddRowOwn(row, nil)
+					split.AddRowOwn(rows[r*stride:(r+1)*stride], it)
 				}
 				split.AddRows(rows, stride, run)
-				loose.AddRows(rows, stride, run)
 			}
-			for _, got := range []*ACF{split, loose} {
-				if got.N != fused.N {
-					t.Fatalf("N = %d, want %d", got.N, fused.N)
-				}
-				for g := range tc.shape {
-					if got.SS[g] != fused.SS[g] {
-						t.Errorf("SS[%d] = %v, want %v", g, got.SS[g], fused.SS[g])
-					}
-					if !reflect.DeepEqual(got.LS[g], fused.LS[g]) {
-						t.Errorf("LS[%d] = %v, want %v", g, got.LS[g], fused.LS[g])
-					}
-				}
-			}
-			if !reflect.DeepEqual(split.NomCounts[tc.own], fused.NomCounts[tc.own]) {
-				t.Errorf("NomCounts = %v, want %v", split.NomCounts[tc.own], fused.NomCounts[tc.own])
+			assertSameACF(t, split, want)
+			if n := len(want.NomCounts[tc.own]) + len(want.NomCounts[(tc.own+1)%len(tc.shape)]); it.Len() != n {
+				t.Errorf("interner holds %d keys, histograms %d", it.Len(), n)
 			}
 		})
 	}
+}
+
+// The split-row kernels must compose to exactly the cell-by-cell
+// AddTuple: AddRowOwn folds the own group (plus N and histograms)
+// eagerly, AddRows applies the deferred cross-group sums of a whole run,
+// and every float cell ends up bit-identical to AddTuple's — tracked
+// groups (own and cross) included, and for run lengths above one.
+func TestACFSplitRowMatchesAddTuple(t *testing.T) {
+	checkSplitRuns(t, func(a *ACF, proj [][]float64, _ []float64) { a.AddTuple(proj) })
+}
+
+// Batching a same-cluster run through one AddRows call must give the
+// same bits as folding each of its rows alone, so InsertFlatBatch and a
+// row-at-a-time insert build identical ACFs.
+func TestACFSplitRowMatchesAddRow(t *testing.T) {
+	checkSplitRuns(t, func(a *ACF, _ [][]float64, row []float64) { addRowAlone(a, row, nil) })
 }
 
 // The batch kernel itself must not allocate: it walks the flat backing
@@ -586,18 +610,21 @@ func TestACFAddRowsZeroAllocs(t *testing.T) {
 	}
 }
 
-func BenchmarkACFAddRow(b *testing.B) {
+// BenchmarkACFSingleRow measures one row folded alone — AddRowOwn, then
+// AddRows over a run of one — the per-tuple cost of streaming ingest.
+func BenchmarkACFSingleRow(b *testing.B) {
 	shape := sampleShape()
 	a := NewACF(shape, 0)
 	row := []float64{1, 2, 3, 4, 5, 6}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		a.AddRow(row, nil)
+		a.AddRowOwn(row, nil)
+		a.AddRows(row, len(row), 1)
 	}
 }
 
-// BenchmarkACFAddRows measures the batched cross-group kernel against
-// the per-row loop it replaces: one op is a 64-row run.
+// BenchmarkACFAddRows measures the batched cross-group kernel over a
+// same-cluster run: one op is a 64-row run.
 func BenchmarkACFAddRows(b *testing.B) {
 	shape := Shape{1, 1, 1, 1, 1, 1, 1, 1, 1}
 	stride := shape.Dims()

@@ -10,7 +10,8 @@ import (
 // descent is iterative over reusable scratch, centroid distances come off
 // cached rows, and merging a tuple into an existing entry writes the flat
 // ACF backing in place. Only structural growth (new entries, splits,
-// rebuilds) may allocate, and the warm-up below gets past it.
+// rebuilds) may allocate, and the warm-up below gets past it. Rows go in
+// one at a time, as streaming ingest feeds them.
 func TestInsertFlatSteadyStateZeroAllocs(t *testing.T) {
 	shape := cf.Shape{1, 1, 1}
 	tr := New(shape, 0, Config{Threshold: 5})
@@ -22,15 +23,16 @@ func TestInsertFlatSteadyStateZeroAllocs(t *testing.T) {
 		{101, 5, 6},
 	}
 	for _, r := range rows {
-		tr.InsertFlat(r) // warm-up: create the entries and scratch
+		tr.InsertFlatBatch(r, 1, len(r)) // warm-up: create the entries and scratch
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(200, func() {
-		tr.InsertFlat(rows[i%len(rows)])
+		r := rows[i%len(rows)]
+		tr.InsertFlatBatch(r, 1, len(r))
 		i++
 	})
 	if allocs != 0 {
-		t.Errorf("steady-state InsertFlat allocates %v per run, want 0", allocs)
+		t.Errorf("steady-state single-row InsertFlatBatch allocates %v per run, want 0", allocs)
 	}
 }
 
@@ -49,26 +51,15 @@ func TestInsertFlatTrackedSteadyStateAllocBudget(t *testing.T) {
 		{3, 30},
 	}
 	for _, r := range rows {
-		tr.InsertFlat(r) // warm-up: one entry + one interned key per value
+		tr.InsertFlatBatch(r, 1, len(r)) // warm-up: one entry + one interned key per value
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(200, func() {
-		tr.InsertFlat(rows[i%len(rows)])
+		r := rows[i%len(rows)]
+		tr.InsertFlatBatch(r, 1, len(r))
 		i++
 	})
 	if allocs != 0 {
-		t.Errorf("steady-state tracked InsertFlat allocates %v per run, want 0", allocs)
-	}
-}
-
-// The Insert wrapper (per-group projections) stays allocation-free as
-// well: it copies into the tree's reusable flat row.
-func TestInsertSteadyStateZeroAllocs(t *testing.T) {
-	tr := New(cf.Shape{1, 1}, 0, Config{Threshold: 5})
-	proj := twoGroupProj(10, 1)
-	tr.Insert(proj)
-	allocs := testing.AllocsPerRun(200, func() { tr.Insert(proj) })
-	if allocs != 0 {
-		t.Errorf("steady-state Insert allocates %v per run, want 0", allocs)
+		t.Errorf("steady-state tracked InsertFlatBatch allocates %v per run, want 0", allocs)
 	}
 }

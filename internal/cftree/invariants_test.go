@@ -67,7 +67,7 @@ func TestTreeInvariantsAfterInserts(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	tr := New(cf.Shape{1}, 0, Config{Branching: 4, LeafCapacity: 3, Threshold: 0.5})
 	for i := 0; i < 3000; i++ {
-		tr.Insert(proj1d(rng.Float64() * 1e4))
+		insertProj(tr, proj1d(rng.Float64()*1e4))
 	}
 	checkInvariants(t, tr)
 }
@@ -76,7 +76,7 @@ func TestTreeInvariantsAfterRebuilds(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	tr := New(cf.Shape{1}, 0, Config{Branching: 4, LeafCapacity: 3, Threshold: 0.5, MemoryLimit: 4 << 10})
 	for i := 0; i < 3000; i++ {
-		tr.Insert(proj1d(rng.Float64() * 1e6))
+		insertProj(tr, proj1d(rng.Float64()*1e6))
 	}
 	if tr.Stats().Rebuilds == 0 {
 		t.Fatal("expected rebuilds")
@@ -96,7 +96,7 @@ func TestTreeInvariantsProperty(t *testing.T) {
 		tr := New(cf.Shape{1}, 0, cfg)
 		n := rng.Intn(800) + 1
 		for i := 0; i < n; i++ {
-			tr.Insert(proj1d(rng.Float64() * float64(spread+1)))
+			insertProj(tr, proj1d(rng.Float64()*float64(spread+1)))
 		}
 		// Reuse the testing.T-based checker through a recovered panic:
 		// convert failures into property failures.
@@ -151,7 +151,7 @@ func TestNearestClusterAfterRebuilds(t *testing.T) {
 	const nCenters = 300
 	for i := 0; i < 9000; i++ {
 		c := float64(i%nCenters) * 1e4
-		tr.Insert(proj1d(c + rng.NormFloat64()))
+		insertProj(tr, proj1d(c+rng.NormFloat64()))
 	}
 	if tr.Stats().Rebuilds == 0 {
 		t.Fatal("expected rebuilds")

@@ -91,7 +91,9 @@ func (s *FileOutlierStore) Put(a *cf.ACF) error {
 }
 
 // Drain implements OutlierStore. It rewinds the file, decodes every
-// summary, and truncates the file for reuse.
+// summary, and truncates the file for reuse. gob fills an ACF field by
+// field, which the ACF kernels reject, so each decoded summary comes
+// back re-flattened through Clone.
 func (s *FileOutlierStore) Drain() ([]*cf.ACF, error) {
 	if s.done {
 		return nil, fmt.Errorf("cftree: outlier store is closed")
@@ -106,7 +108,7 @@ func (s *FileOutlierStore) Drain() ([]*cf.ACF, error) {
 		if err := dec.Decode(&a); err != nil {
 			return nil, fmt.Errorf("cftree: decoding outlier %d: %w", i, err)
 		}
-		out = append(out, &a)
+		out = append(out, a.Clone())
 	}
 	if err := s.f.Truncate(0); err != nil {
 		return nil, fmt.Errorf("cftree: truncating outlier file: %w", err)

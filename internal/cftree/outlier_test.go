@@ -48,6 +48,12 @@ func testStore(t *testing.T, s OutlierStore) {
 	if got[0].Own != 0 {
 		t.Errorf("drained Own = %d", got[0].Own)
 	}
+	// Drained summaries go straight back into the tree, whose kernels
+	// accept only flat-backed ACFs (Merge panics on any other).
+	got[0].Merge(got[1])
+	if got[0].N != 4 || got[0].LS[0][0] != 16 || got[0].SS[1] != 4*(1+4+9+100) {
+		t.Errorf("merged drained summaries = N %d, LS %v, SS %v", got[0].N, got[0].LS, got[0].SS)
+	}
 	if s.Len() != 0 {
 		t.Errorf("Len after drain = %d", s.Len())
 	}
@@ -108,21 +114,23 @@ func TestTreeWithFileOutlierStore(t *testing.T) {
 		Outliers:    store,
 	})
 	for i := 0; i < 2000; i++ {
-		tr.Insert(proj1d(float64(i % 7)))
+		insertProj(tr, proj1d(float64(i%7)))
 	}
 	for i := 0; i < 30; i++ {
-		tr.Insert(proj1d(1e6 + float64(i)*1e5))
+		insertProj(tr, proj1d(1e6+float64(i)*1e5))
+	}
+	if tr.Stats().OutliersPaged == 0 {
+		t.Fatal("test needs outliers paged through the file store")
 	}
 	leaves, err := tr.Finish()
 	if err != nil {
 		t.Fatalf("Finish: %v", err)
 	}
-	rest, err := store.Drain()
-	if err != nil {
-		t.Fatalf("Drain: %v", err)
+	if got := totalN(leaves); got != 2030 {
+		t.Errorf("Finish accounts for N = %d, want 2030", got)
 	}
-	if got := totalN(leaves) + totalN(rest); got != 2030 {
-		t.Errorf("accounted N = %d, want 2030", got)
+	if store.Len() != 0 {
+		t.Errorf("%d clusters left in the file store after Finish", store.Len())
 	}
 }
 
@@ -152,11 +160,11 @@ func TestOutlierStoreFailureKeepsClusters(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	n := 0
 	for i := 0; i < 1500; i++ {
-		tr.Insert(proj1d(100 + rng.Float64()))
+		insertProj(tr, proj1d(100+rng.Float64()))
 		n++
 	}
 	for i := 0; i < 40; i++ {
-		tr.Insert(proj1d(rng.Float64() * 1e7))
+		insertProj(tr, proj1d(rng.Float64()*1e7))
 		n++
 	}
 	if tr.Stats().Rebuilds == 0 {

@@ -294,7 +294,8 @@ func refineInput(rng *rand.Rand, k, dims, own int, overflow bool) []*cf.ACF {
 				}
 				off += gd
 			}
-			a.AddRow(row, nil)
+			a.AddRowOwn(row, nil)
+			a.AddRows(row, len(row), 1)
 		}
 		out[i] = a
 	}

@@ -117,10 +117,9 @@ type Tree struct {
 
 	intern *cf.Interner // shared nominal-key interner when tracking
 
-	scratch    []float64  // reusable own-group centroid buffer
-	rowScratch []float64  // reusable flat projection row for Insert
-	path       []pathStep // reusable descent stack for insertTop
-	lastEntry  *cf.ACF    // leaf entry the latest payload landed in
+	scratch   []float64  // reusable own-group centroid buffer
+	path      []pathStep // reusable descent stack for insertTop
+	lastEntry *cf.ACF    // leaf entry the latest payload landed in
 
 	// err is set when a descent finds no child to follow: every
 	// distance there is +Inf or NaN. The tree then takes no more
@@ -157,7 +156,6 @@ func New(shape cf.Shape, own int, cfg Config) *Tree {
 		t.totalDims += d
 	}
 	t.ownOff = t.offs[own]
-	t.rowScratch = make([]float64, t.totalDims)
 	for _, tr := range cfg.Track {
 		if tr {
 			t.intern = cf.NewInterner()
@@ -197,72 +195,29 @@ func (t *Tree) Stats() Stats {
 
 // payload is a unit of insertion: either a single tuple given as a flat
 // projection row (row != nil) or a whole cluster summary being re-inserted
-// during a rebuild (acf != nil).
+// during a rebuild (acf != nil). A row payload folds only its own group
+// into the target entry (cf.ACF.AddRowOwn); InsertFlatBatch applies the
+// row's cross-group sums afterwards.
 type payload struct {
 	row []float64 // per-group projections of one tuple, concatenated
 	acf *cf.ACF
 	p   []float64        // own-group vector guiding the descent
 	own distance.Summary // own-group summary for the admission test
-	// ownOnly defers the row's cross-group LS/SS sums: the target entry
-	// folds only its own group (cf.ACF.AddRowOwn) and InsertFlatBatch
-	// applies the rest per run through cf.ACF.AddRows. Descent, admission,
-	// splits and rebuild accounting read only own-group state and N, all
-	// maintained eagerly, so every decision is bit-identical to the fused
-	// per-row path.
-	ownOnly bool
-}
-
-// Insert adds one tuple to the tree. proj[g] must be the tuple's
-// projection onto group g for every group of the shape (the owning group's
-// projection guides placement; the rest feed the ACF's Eq. 7 sums).
-func (t *Tree) Insert(proj [][]float64) {
-	if len(proj) != len(t.shape) {
-		panic(fmt.Sprintf("cftree: tuple has %d group projections, shape has %d", len(proj), len(t.shape)))
-	}
-	off := 0
-	for g, p := range proj {
-		if len(p) != t.shape[g] {
-			panic(fmt.Sprintf("cftree: group %d projection dims %d != %d", g, len(p), t.shape[g]))
-		}
-		copy(t.rowScratch[off:], p)
-		off += len(p)
-	}
-	t.InsertFlat(t.rowScratch)
-}
-
-// InsertFlat adds one tuple given as a flat projection row: the per-group
-// projections concatenated in group order (shape[0] values, then shape[1],
-// …). This is the zero-copy hot path used by the ingest pipeline — the
-// row is fully consumed before InsertFlat returns, so callers may reuse
-// the backing array. Clustering is identical to Insert.
-func (t *Tree) InsertFlat(row []float64) {
-	if len(row) != t.totalDims {
-		panic(fmt.Sprintf("cftree: flat row has %d dims, shape needs %d", len(row), t.totalDims))
-	}
-	p := row[t.ownOff : t.ownOff+t.dims]
-	var ss float64
-	for _, v := range p {
-		ss += v * v
-	}
-	pl := payload{
-		row: row,
-		p:   p,
-		own: distance.Summary{N: 1, LS: p, SS: ss},
-	}
-	t.insertTop(&pl)
-	t.seen++
-	t.enforceMemory()
 }
 
 // InsertFlatBatch adds n tuples given as consecutive flat projection rows
-// (rows holds n×stride floats, stride = the shape's total dims). It is
-// the pipeline's per-lane hot path: processing a whole batch against one
-// tree keeps that tree's nodes hot in cache, and the cross-group row
+// (rows holds n×stride floats, stride = the shape's total dims): each
+// row is the per-group projections concatenated in group order
+// (shape[0] values, then shape[1], …). It is the one insert kernel:
+// the ingest pipeline's lanes call it per batch and streaming ingest per
+// tuple (n = 1). The rows are fully consumed before it returns, so
+// callers may reuse the backing array. Processing a whole batch against
+// one tree keeps that tree's nodes hot in cache, and the cross-group row
 // sums — which no placement decision ever reads — are deferred and
 // applied per *run* of consecutive tuples admitted into the same cluster
 // through the batched cf.ACF.AddRows kernel.
 //
-// Clustering is bit-identical to n InsertFlat calls: descent, admission,
+// Clustering is bit-identical at every batch size: descent, admission,
 // splits and the rebuild schedule depend only on own-group sums, N and
 // the byte estimate, all maintained eagerly per row (AddRowOwn), and
 // each deferred float cell still receives the same additions in tuple
@@ -282,10 +237,9 @@ func (t *Tree) InsertFlatBatch(rows []float64, n, stride int) {
 			ss += v * v
 		}
 		pl := payload{
-			row:     row,
-			p:       p,
-			own:     distance.Summary{N: 1, LS: p, SS: ss},
-			ownOnly: true,
+			row: row,
+			p:   p,
+			own: distance.Summary{N: 1, LS: p, SS: ss},
 		}
 		t.insertTop(&pl)
 		if t.err != nil {
@@ -298,8 +252,8 @@ func (t *Tree) InsertFlatBatch(rows []float64, n, stride int) {
 			}
 			run, runStart = e, i
 		}
-		// Same per-insert budget check as InsertFlat/enforceMemory; the
-		// flush completes the pending cross-group sums before the rebuild
+		// The per-insert budget check of enforceMemory; the flush
+		// completes the pending cross-group sums before the rebuild
 		// re-inserts (or pages out) whole ACFs.
 		if t.cfg.MemoryLimit > 0 && t.bytes > t.cfg.MemoryLimit {
 			run.AddRows(rows[runStart*stride:(i+1)*stride], stride, i+1-runStart)
@@ -409,11 +363,7 @@ func (t *Tree) insertLeaf(nd *node, pl *payload) (*node, *node) {
 		e = pl.acf
 	} else {
 		e = cf.NewACFTracked(t.shape, t.own, t.cfg.Track)
-		if pl.ownOnly {
-			e.AddRowOwn(pl.row, t.intern)
-		} else {
-			e.AddRow(pl.row, t.intern)
-		}
+		e.AddRowOwn(pl.row, t.intern)
 	}
 	t.lastEntry = e
 	nd.entries = append(nd.entries, e)
@@ -431,11 +381,7 @@ func (t *Tree) mergeInto(e *cf.ACF, pl *payload) {
 		e.Merge(pl.acf)
 		return
 	}
-	if pl.ownOnly {
-		e.AddRowOwn(pl.row, t.intern)
-		return
-	}
-	e.AddRow(pl.row, t.intern)
+	e.AddRowOwn(pl.row, t.intern)
 }
 
 // splitLeaf redistributes the entries of an overfull leaf around the two
@@ -586,26 +532,38 @@ func (t *Tree) nextThreshold() float64 {
 
 // Finish re-absorbs paged-out outliers (Section 4.3.1: clusters "may be
 // wrongly categorized as outliers. Hence, outliers need to be re-inserted
-// into the complete tree") and returns every leaf cluster. After Finish
-// the tree remains usable for NearestCluster queries.
+// into the complete tree") and returns every cluster the tree holds: the
+// leaves, then whatever the closing budget check paged out again, so the
+// clusters' N always sums to the tuples inserted and the store is left
+// empty. After Finish the tree remains usable for NearestCluster queries
+// over its leaves.
 func (t *Tree) Finish() ([]*cf.ACF, error) {
 	if t.err != nil {
 		return nil, t.err
 	}
-	if t.cfg.Outliers != nil && t.cfg.Outliers.Len() > 0 {
-		acfs, err := t.cfg.Outliers.Drain()
+	if t.cfg.Outliers == nil || t.cfg.Outliers.Len() == 0 {
+		return t.root.collectLeaves(nil), nil
+	}
+	acfs, err := t.cfg.Outliers.Drain()
+	if err != nil {
+		return nil, fmt.Errorf("cftree: draining outliers: %w", err)
+	}
+	t.rebuilding = true // absorb without re-paging mid-stream
+	for _, a := range acfs {
+		t.insertACF(a)
+	}
+	t.rebuilding = false
+	t.recount()
+	t.enforceMemory()
+	leaves := t.root.collectLeaves(nil)
+	if t.cfg.Outliers.Len() > 0 {
+		repaged, err := t.cfg.Outliers.Drain()
 		if err != nil {
 			return nil, fmt.Errorf("cftree: draining outliers: %w", err)
 		}
-		t.rebuilding = true // absorb without re-paging mid-stream
-		for _, a := range acfs {
-			t.insertACF(a)
-		}
-		t.rebuilding = false
-		t.recount()
-		t.enforceMemory()
+		leaves = append(leaves, repaged...)
 	}
-	return t.root.collectLeaves(nil), nil
+	return leaves, nil
 }
 
 // Leaves returns the current leaf clusters without touching outliers.

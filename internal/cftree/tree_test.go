@@ -18,6 +18,16 @@ func proj1d(v float64) [][]float64 { return [][]float64{{v}} }
 // carries y (the associated attribute).
 func twoGroupProj(x, y float64) [][]float64 { return [][]float64{{x}, {y}} }
 
+// insertProj adds one tuple given as per-group projections: a batch of
+// one through the insert kernel, as streaming ingest feeds a tree.
+func insertProj(tr *Tree, proj [][]float64) {
+	var row []float64
+	for _, p := range proj {
+		row = append(row, p...)
+	}
+	tr.InsertFlatBatch(row, 1, len(row))
+}
+
 func totalN(acfs []*cf.ACF) int64 {
 	var n int64
 	for _, a := range acfs {
@@ -29,7 +39,7 @@ func totalN(acfs []*cf.ACF) int64 {
 func TestInsertMergesWithinThreshold(t *testing.T) {
 	tr := New(cf.Shape{1}, 0, Config{Threshold: 5})
 	for _, v := range []float64{10, 11, 12, 100, 101, 102} {
-		tr.Insert(proj1d(v))
+		insertProj(tr, proj1d(v))
 	}
 	leaves := tr.Leaves()
 	if len(leaves) != 2 {
@@ -52,7 +62,7 @@ func TestZeroThresholdSeparatesDistinctValues(t *testing.T) {
 	tr := New(cf.Shape{1}, 0, Config{})
 	values := []float64{1, 2, 1, 3, 2, 1}
 	for _, v := range values {
-		tr.Insert(proj1d(v))
+		insertProj(tr, proj1d(v))
 	}
 	leaves := tr.Leaves()
 	if len(leaves) != 3 {
@@ -79,7 +89,7 @@ func TestTreeGrowsAndStaysConsistent(t *testing.T) {
 	for i := 0; i < n; i++ {
 		v := float64(i)
 		wantLS += v
-		tr.Insert(proj1d(v))
+		insertProj(tr, proj1d(v))
 	}
 	st := tr.Stats()
 	if st.Entries != n {
@@ -106,10 +116,10 @@ func TestInsertPanicsOnWrongShape(t *testing.T) {
 	tr := New(cf.Shape{1, 1}, 0, Config{})
 	defer func() {
 		if recover() == nil {
-			t.Error("no panic on wrong projection count")
+			t.Error("no panic on a row stride that does not match the shape")
 		}
 	}()
-	tr.Insert([][]float64{{1}})
+	tr.InsertFlatBatch([]float64{1}, 1, 1)
 }
 
 func TestNewPanicsOnBadOwn(t *testing.T) {
@@ -129,7 +139,7 @@ func TestMemoryLimitForcesRebuilds(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	n := 5000
 	for i := 0; i < n; i++ {
-		tr.Insert(proj1d(rng.Float64() * 1e6))
+		insertProj(tr, proj1d(rng.Float64()*1e6))
 	}
 	st := tr.Stats()
 	if st.Rebuilds == 0 {
@@ -156,7 +166,7 @@ func TestRebuildPreservesACFProjections(t *testing.T) {
 		x := rng.Float64() * 1e5
 		y := x*2 + 10
 		wantY += y
-		tr.Insert(twoGroupProj(x, y))
+		insertProj(tr, twoGroupProj(x, y))
 	}
 	if tr.Stats().Rebuilds == 0 {
 		t.Fatal("test needs rebuilds to be meaningful")
@@ -184,12 +194,12 @@ func TestOutlierPagingAndFinish(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	n := 0
 	for i := 0; i < 1000; i++ {
-		tr.Insert(proj1d(100 + rng.Float64()))
-		tr.Insert(proj1d(500 + rng.Float64()))
+		insertProj(tr, proj1d(100+rng.Float64()))
+		insertProj(tr, proj1d(500+rng.Float64()))
 		n += 2
 	}
 	for i := 0; i < 50; i++ {
-		tr.Insert(proj1d(rng.Float64() * 1e7))
+		insertProj(tr, proj1d(rng.Float64()*1e7))
 		n++
 	}
 	if tr.Stats().Rebuilds == 0 {
@@ -199,23 +209,21 @@ func TestOutlierPagingAndFinish(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Finish: %v", err)
 	}
-	got := totalN(leaves)
-	// Finish may re-page confirmed outliers if absorbing them overflows
-	// the budget again; whatever remains in the store is still accounted.
-	rest, err := store.Drain()
-	if err != nil {
-		t.Fatalf("Drain: %v", err)
+	// Absorbing the outliers can overflow the budget again and page some
+	// back out; Finish returns those too, so its result alone accounts
+	// for every tuple and the store is left empty.
+	if got := totalN(leaves); got != int64(n) {
+		t.Errorf("Finish accounts for N = %d, want %d", got, n)
 	}
-	got += totalN(rest)
-	if got != int64(n) {
-		t.Errorf("accounted N = %d, want %d", got, n)
+	if store.Len() != 0 {
+		t.Errorf("%d clusters left in the outlier store after Finish", store.Len())
 	}
 }
 
 func TestNearestCluster(t *testing.T) {
 	tr := New(cf.Shape{1}, 0, Config{Threshold: 2})
 	for _, v := range []float64{10, 10.5, 11, 50, 50.5, 51, 90, 91} {
-		tr.Insert(proj1d(v))
+		insertProj(tr, proj1d(v))
 	}
 	for _, c := range []struct{ q, want float64 }{
 		{10.2, 10.5}, {49, 50.5}, {93, 90.5},
@@ -242,7 +250,7 @@ func TestNearestClusterEmptyTree(t *testing.T) {
 
 func TestFinishWithoutOutliers(t *testing.T) {
 	tr := New(cf.Shape{1}, 0, Config{Threshold: 1})
-	tr.Insert(proj1d(1))
+	insertProj(tr, proj1d(1))
 	leaves, err := tr.Finish()
 	if err != nil || len(leaves) != 1 {
 		t.Errorf("Finish = %v, %v", leaves, err)
@@ -250,8 +258,9 @@ func TestFinishWithoutOutliers(t *testing.T) {
 }
 
 // Conservation property: for any insert sequence and any (small) memory
-// limit, the sum of leaf N values plus paged outliers equals the number of
-// inserts, and per-group LS totals are preserved.
+// limit, the clusters Finish returns hold every insert — their N sums to
+// the number of inserts and per-group LS totals are preserved — and no
+// cluster is left behind in the outlier store.
 func TestConservationProperty(t *testing.T) {
 	f := func(seed int64, limKB uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -270,18 +279,10 @@ func TestConservationProperty(t *testing.T) {
 			y := rng.NormFloat64() * 5
 			sumX += x
 			sumY += y
-			tr.Insert(twoGroupProj(x, y))
+			insertProj(tr, twoGroupProj(x, y))
 		}
-		leaves, err := tr.Finish()
-		if err != nil {
-			return false
-		}
-		rest, err := store.Drain()
-		if err != nil {
-			return false
-		}
-		all := append(leaves, rest...)
-		if totalN(all) != int64(n) {
+		all, err := tr.Finish()
+		if err != nil || store.Len() != 0 || totalN(all) != int64(n) {
 			return false
 		}
 		var gotX, gotY float64
@@ -308,8 +309,8 @@ func TestThresholdControlsGranularity(t *testing.T) {
 	fine := New(cf.Shape{1}, 0, Config{Threshold: 0.1})
 	coarse := New(cf.Shape{1}, 0, Config{Threshold: 50})
 	for _, v := range values {
-		fine.Insert(proj1d(v))
-		coarse.Insert(proj1d(v))
+		insertProj(fine, proj1d(v))
+		insertProj(coarse, proj1d(v))
 	}
 	nf, nc := len(fine.Leaves()), len(coarse.Leaves())
 	if nf <= nc {
@@ -322,7 +323,7 @@ func TestThresholdControlsGranularity(t *testing.T) {
 
 func TestStatsSnapshot(t *testing.T) {
 	tr := New(cf.Shape{2, 1}, 0, Config{Threshold: 1})
-	tr.Insert([][]float64{{1, 2}, {3}})
+	insertProj(tr, [][]float64{{1, 2}, {3}})
 	st := tr.Stats()
 	if st.Entries != 1 || st.Nodes != 1 || st.Depth != 1 || st.TuplesSeen != 1 {
 		t.Errorf("Stats = %+v", st)
@@ -341,10 +342,10 @@ func TestStatsSnapshot(t *testing.T) {
 func TestInsertOverflowStopsTree(t *testing.T) {
 	tr := New(cf.Shape{1}, 0, Config{Threshold: 0.1})
 	for i := 0; i < 40; i++ {
-		tr.Insert(proj1d(1e160))
+		insertProj(tr, proj1d(1e160))
 	}
 	for i := 0; i < 100; i++ {
-		tr.Insert(proj1d(float64(i % 50)))
+		insertProj(tr, proj1d(float64(i%50)))
 	}
 	if err := tr.Err(); !errors.Is(err, ErrOverflow) {
 		t.Fatalf("Err() = %v, want ErrOverflow", err)

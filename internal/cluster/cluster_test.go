@@ -450,6 +450,48 @@ func TestOverflowingShardAborts(t *testing.T) {
 	}
 }
 
+// TestClusterIngestPinsD0s: ?d0s= on POST /v1/cluster/ingest pins the
+// thresholds every shard runs under, so the merged summary records
+// exactly the pinned vector instead of one derived from the data, and a
+// vector the workers reject fails the ingest with 400, installing
+// nothing.
+func TestClusterIngestPinsD0s(t *testing.T) {
+	_, w1 := newDard(t)
+	_, w2 := newDard(t)
+	coord, dataDir := newCoordinator(t, []string{w1.URL, w2.URL}, nil)
+	ingest := func(name, d0s string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, "/v1/cluster/ingest?name="+name+"&shards=2&d0s="+d0s,
+			bytes.NewReader(testCSV(11, 200)))
+		rec := httptest.NewRecorder()
+		coord.Handler().ServeHTTP(rec, req)
+		return rec
+	}
+	if rec := ingest("pinned", "0,0.25,0.5,7"); rec.Code != http.StatusOK {
+		t.Fatalf("cluster ingest: status %d: %s", rec.Code, rec.Body)
+	}
+	sum, err := summary.Decode(readArtifact(t, dataDir, "pinned"))
+	if err != nil {
+		t.Fatalf("decoding merged artifact: %v", err)
+	}
+	pinned := []float64{0, 0.25, 0.5, 7} // Segment (nominal), Lat, Lon, Spend
+	if len(sum.Groups) != len(pinned) {
+		t.Fatalf("merged summary has %d groups, want %d", len(sum.Groups), len(pinned))
+	}
+	for g, sg := range sum.Groups {
+		if sg.D0 != pinned[g] {
+			t.Errorf("merged group %s D0 = %v, want the pinned %v", sg.Name, sg.D0, pinned[g])
+		}
+	}
+	for _, d0s := range []string{"NaN,1,1,1", "1,x,1,1"} {
+		if rec := ingest("bad", d0s); rec.Code != http.StatusBadRequest {
+			t.Errorf("cluster ingest d0s=%s: status %d, want 400: %s", d0s, rec.Code, rec.Body)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dataDir, "bad.acfsum")); !os.IsNotExist(err) {
+		t.Errorf("a rejected ingest left an artifact: %v", err)
+	}
+}
+
 // TestBackoffBoundsAndSeed pins the backoff envelope (positive, capped)
 // and its reproducibility: same seed, same jitter schedule.
 func TestBackoffBoundsAndSeed(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"repro/internal/server"
 	"repro/pkg/client"
 )
 
@@ -16,7 +17,7 @@ import (
 // the embedded dard server, which keeps serving every other endpoint
 // (catalog, merge, diff, snapshot) untouched.
 //
-//	POST /v1/cluster/ingest?name=N[&d0=…&memory=…&workers=…&groups=…&shards=…]
+//	POST /v1/cluster/ingest?name=N[&d0=…&d0s=…&memory=…&workers=…&groups=…&shards=…]
 //	     CSV body → sharded across the pool, merged, installed locally
 //	GET  /v1/cluster/workers      pool membership and health
 //	POST /v1/summaries/{name}/query
@@ -65,6 +66,10 @@ func (c *Coordinator) handleClusterIngest(w http.ResponseWriter, r *http.Request
 			c.writeErr(w, http.StatusBadRequest, "bad d0 %q: %v", v, err)
 			return
 		}
+	}
+	if opt.D0s, err = server.ParseD0s(r.URL.Query().Get("d0s")); err != nil {
+		c.writeErr(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	for _, p := range []struct {
 		key string

@@ -235,12 +235,13 @@ func (q QueryOptions) BaseOptions() QueryOptions {
 }
 
 // QueryBase is the Phase II half of QuerySummary: it validates q, then
-// refines and frequency-filters clones of the summary's clusters and
-// forms the base rule set of q.BaseOptions() — every mode left
-// unapplied — with nominal co-occurrence from the summary's histograms.
-// The returned Result is never modified afterwards by this package:
-// WithQueryModes works on a copy, so one base can serve concurrent
-// queries.
+// refines and frequency-filters the summary's clusters and forms the
+// base rule set of q.BaseOptions() — every mode left unapplied — with
+// nominal co-occurrence from the summary's histograms. It only reads s:
+// refinement merges clones, and the base's clusters may wrap the
+// summary's own ACFs, which nothing in Phase II writes. The returned
+// Result is never modified afterwards by this package: WithQueryModes
+// works on a copy, so one base can serve concurrent queries.
 func QueryBase(s *summary.Summary, q QueryOptions) (*Result, error) {
 	if s == nil {
 		return nil, fmt.Errorf("core: nil summary")
@@ -251,9 +252,7 @@ func QueryBase(s *summary.Summary, q QueryOptions) (*Result, error) {
 	if err := q.validate(); err != nil {
 		return nil, err
 	}
-	// The summary outlives the base (a server memoizes both), so the
-	// base's clusters wrap clones, never the summary's own ACFs.
-	res, e := frequentClusters(s.Clone(), q)
+	res, e := frequentClusters(s, q)
 	res.Rules, res.PhaseII = e.run(res.Clusters, summaryCooccurrence(res.Clusters, e.nominal))
 	return res, nil
 }
@@ -266,7 +265,8 @@ func QueryBase(s *summary.Summary, q QueryOptions) (*Result, error) {
 // summary's provenance (ClustersFound counts the post-refinement leaves
 // before filtering), and the returned rule engine runs q.BaseOptions()
 // over the summary's per-group d0 and nominal flags. The clusters wrap
-// the summary's ACFs (Refine's merged copies when refining).
+// the summary's ACFs, or Refine's clones of them in a refined group of
+// two or more leaves; s is only read.
 func frequentClusters(s *summary.Summary, q QueryOptions) (*Result, *ruleEngine) {
 	groups := len(s.Groups)
 	e := &ruleEngine{opt: q.BaseOptions(), numGroups: groups, nominal: make([]bool, groups), d0: make([]float64, groups)}

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/relation"
+	"repro/internal/summary"
 )
 
 func TestIncrementalMinerValidation(t *testing.T) {
@@ -34,57 +36,67 @@ func TestIncrementalMinerValidation(t *testing.T) {
 	}
 }
 
+// TestIncrementalMatchesBatch: IncrementalMiner.Add feeds each tuple to
+// the same insert kernel Ingest's scan runs (as a batch of one), so over
+// the same tuples in the same order its summary must encode to exactly
+// Ingest's bytes — at one and several workers, on interval and nominal
+// data, and through memory-pressure rebuilds.
 func TestIncrementalMatchesBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	rel := plantedXY(rng, 150, 15)
-	part := relation.SingletonPartitioning(rel.Schema())
-
-	opt := plantedOptions()
-	opt.PostScan = false // batch comparison without rescans
-
-	batch, err := NewMiner(rel, part, opt)
-	if err != nil {
-		t.Fatalf("NewMiner: %v", err)
-	}
-	bres, err := batch.Mine()
-	if err != nil {
-		t.Fatalf("Mine: %v", err)
-	}
-
-	inc, err := NewIncrementalMiner(part, opt)
-	if err != nil {
-		t.Fatalf("NewIncrementalMiner: %v", err)
-	}
-	err = rel.Scan(func(_ int, tuple []float64) error { return inc.Add(tuple) })
-	if err != nil {
-		t.Fatalf("Add: %v", err)
-	}
-	if inc.Seen() != rel.Len() {
-		t.Errorf("Seen = %d, want %d", inc.Seen(), rel.Len())
-	}
-	ires, err := inc.Snapshot()
-	if err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
-
-	// Same tuples in the same order through the same trees: the cluster
-	// and rule structure must coincide with the batch run.
-	if len(ires.Clusters) != len(bres.Clusters) {
-		t.Fatalf("clusters: %d vs %d", len(ires.Clusters), len(bres.Clusters))
-	}
-	for i := range ires.Clusters {
-		a, b := ires.Clusters[i], bres.Clusters[i]
-		if a.Group != b.Group || a.N() != b.N() || !reflect.DeepEqual(a.Centroid(), b.Centroid()) {
-			t.Fatalf("cluster %d differs", i)
-		}
-	}
-	if len(ires.Rules) != len(bres.Rules) {
-		t.Fatalf("rules: %d vs %d", len(ires.Rules), len(bres.Rules))
-	}
-	for i := range ires.Rules {
-		a, b := ires.Rules[i], bres.Rules[i]
-		if a.Degree != b.Degree || !intsEqual(a.Antecedent, b.Antecedent) || !intsEqual(a.Consequent, b.Consequent) {
-			t.Fatalf("rule %d differs: %+v vs %+v", i, a, b)
+	for _, data := range []struct {
+		name string
+		rel  *relation.Relation
+		d0s  []float64
+	}{
+		{"plantedXY", plantedXY(rand.New(rand.NewSource(41)), 150, 15), nil},
+		{"mixedNominal", mixedNominalRelation(rand.New(rand.NewSource(93)), 600), []float64{0, 0, 4, 5}},
+	} {
+		part := relation.SingletonPartitioning(data.rel.Schema())
+		for _, workers := range []int{1, 4} {
+			for _, memory := range []int{0, 4 << 10} {
+				t.Run(fmt.Sprintf("%s/workers=%d/memory=%d", data.name, workers, memory), func(t *testing.T) {
+					opt := plantedOptions()
+					opt.PostScan = false
+					opt.DiameterThresholds = data.d0s
+					opt.Workers = workers
+					opt.MemoryLimit = memory
+					batch, err := Ingest(data.rel, part, opt)
+					if err != nil {
+						t.Fatalf("Ingest: %v", err)
+					}
+					inc, err := NewIncrementalMiner(part, opt)
+					if err != nil {
+						t.Fatalf("NewIncrementalMiner: %v", err)
+					}
+					if err := data.rel.Scan(func(_ int, tuple []float64) error { return inc.Add(tuple) }); err != nil {
+						t.Fatalf("Add: %v", err)
+					}
+					if inc.Seen() != data.rel.Len() {
+						t.Errorf("Seen = %d, want %d", inc.Seen(), data.rel.Len())
+					}
+					stream, err := inc.Summary()
+					if err != nil {
+						t.Fatalf("Summary: %v", err)
+					}
+					want, err := summary.Encode(batch)
+					if err != nil {
+						t.Fatalf("Encode batch: %v", err)
+					}
+					got, err := summary.Encode(stream)
+					if err != nil {
+						t.Fatalf("Encode incremental: %v", err)
+					}
+					if !bytes.Equal(got, want) {
+						t.Errorf("incremental summary (%d B) differs from Ingest's (%d B)", len(got), len(want))
+					}
+					rebuilds := 0
+					for _, g := range batch.Groups {
+						rebuilds += g.Rebuilds
+					}
+					if memory > 0 && rebuilds == 0 {
+						t.Error("the budget forced no rebuild; the memory-pressure case tests nothing")
+					}
+				})
+			}
 		}
 	}
 }

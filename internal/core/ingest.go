@@ -116,22 +116,23 @@ func nominalGroupsOf(part *relation.Partitioning) []bool {
 
 // projectRow writes every group projection of tuple into the flat row
 // (group g occupies row[offs[g] : offs[g]+shape[g]]). The row layout is
-// exactly what cftree.InsertFlat consumes, so one projection pass feeds
-// all trees.
+// exactly what cftree.InsertFlatBatch consumes, so one projection pass
+// feeds all trees.
 func (ing *ingester) projectRow(tuple, row []float64) {
 	for g, off := range ing.offs {
 		ing.part.Project(g, tuple, row[off:off+ing.shape[g]])
 	}
 }
 
-// add ingests one full-width tuple.
+// add ingests one full-width tuple: a batch of one through the same
+// insert kernel the scan pipeline runs.
 func (ing *ingester) add(tuple []float64) error {
 	if len(tuple) != ing.part.Schema().Width() {
 		return fmt.Errorf("core: tuple width %d, schema width %d", len(tuple), ing.part.Schema().Width())
 	}
 	ing.projectRow(tuple, ing.row)
-	for g := range ing.trees {
-		ing.trees[g].InsertFlat(ing.row)
+	for _, tr := range ing.trees {
+		tr.InsertFlatBatch(ing.row, 1, len(ing.row))
 	}
 	ing.seen++
 	return nil

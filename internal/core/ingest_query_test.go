@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -432,6 +433,93 @@ func TestIngestRejectsOverflowingSums(t *testing.T) {
 		}
 		if _, err := im.Summary(); !errors.Is(err, cftree.ErrOverflow) {
 			t.Errorf("%s: incremental Summary error %v, want cftree.ErrOverflow", tc.name, err)
+		}
+	}
+}
+
+// TestIngestPagedOutliersConserveTuples: with PageOutliers and a Phase I
+// budget, every group's clusters must hold all the tuples the summary
+// counts. Absorbing the paged outliers at the end of the scan can
+// overflow the budget again, and the closing rebuild pages some back
+// out; those clusters belong in the summary too, not in a store nobody
+// drains.
+func TestIngestPagedOutliersConserveTuples(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		rel := relation.NewRelation(relation.MustSchema(
+			relation.Attribute{Name: "x", Kind: relation.Interval},
+			relation.Attribute{Name: "y", Kind: relation.Interval},
+		))
+		for i := 0; i < 1000; i++ {
+			rel.MustAppend([]float64{100 + rng.Float64(), 300 + rng.Float64()})
+			rel.MustAppend([]float64{500 + rng.Float64(), 700 + rng.Float64()})
+		}
+		for i := 0; i < 50; i++ {
+			rel.MustAppend([]float64{rng.Float64() * 1e7, rng.Float64() * 1e7})
+		}
+		opt := DefaultOptions()
+		opt.PostScan = false
+		opt.PageOutliers = true
+		opt.DiameterThreshold = 1
+		opt.MemoryLimit = 6 << 10
+		s, err := Ingest(rel, relation.SingletonPartitioning(rel.Schema()), opt)
+		if err != nil {
+			t.Fatalf("seed %d: Ingest: %v", seed, err)
+		}
+		paged := 0
+		for _, g := range s.Groups {
+			var n int64
+			for _, a := range g.Clusters {
+				n += a.N
+			}
+			if n != s.Tuples {
+				t.Errorf("seed %d, group %s: clusters hold %d tuples, summary counts %d", seed, g.Name, n, s.Tuples)
+			}
+			paged += g.OutliersPaged
+		}
+		if paged == 0 {
+			t.Fatalf("seed %d: no outliers paged; the workload no longer exercises paging", seed)
+		}
+	}
+}
+
+// TestQueryBaseLeavesSummaryUntouched: QueryBase works on the summary's
+// own ACFs, not a clone (a server memoizes bases beside the summary they
+// came from), so no query, with or without global refinement and with
+// every query mode on, may change one encoded byte of it.
+func TestQueryBaseLeavesSummaryUntouched(t *testing.T) {
+	rel := mixedNominalRelation(rand.New(rand.NewSource(93)), 600)
+	opt := DefaultOptions()
+	opt.PostScan = false
+	opt.DiameterThresholds = []float64{0, 0, 4, 5}
+	opt.FrequencyFraction = 0.04
+	s, err := Ingest(rel, relation.SingletonPartitioning(rel.Schema()), opt)
+	if err != nil {
+		t.Fatalf("Ingest: %v", err)
+	}
+	before, err := summary.Encode(s)
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	for _, refine := range []bool{true, false} {
+		q := opt.Query()
+		q.GlobalRefine = refine
+		q.Measures = true
+		q.SweepFactors = []float64{0.5, 1}
+		q.TopK = 5
+		res, err := QuerySummary(s, q)
+		if err != nil {
+			t.Fatalf("GlobalRefine=%v: QuerySummary: %v", refine, err)
+		}
+		if len(res.Rules) == 0 {
+			t.Fatalf("GlobalRefine=%v: no rules; the query reads too little of the summary", refine)
+		}
+		after, err := summary.Encode(s)
+		if err != nil {
+			t.Fatalf("Encode: %v", err)
+		}
+		if !bytes.Equal(after, before) {
+			t.Fatalf("GlobalRefine=%v: the query changed the summary's bytes", refine)
 		}
 	}
 }

@@ -4,7 +4,7 @@
 // under a data dir (loaded lazily, evicted under an LRU byte budget)
 // and serves
 //
-//	POST /v1/ingest?name=N[&d0=…&memory=…&workers=…&groups=…]   CSV body → stored summary
+//	POST /v1/ingest?name=N[&d0=…&d0s=…&memory=…&workers=…&groups=…]   CSV body → stored summary
 //	                (workers defaults to all cores; results are
 //	                bit-identical at any worker count)
 //	POST /v1/ingest/shard?d0s=…[&memory=…&workers=…&groups=…]   CSV shard → .acfsum bytes (stateless; see shard.go)

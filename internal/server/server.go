@@ -273,12 +273,12 @@ func (s *Server) pathName(w http.ResponseWriter, r *http.Request) (string, bool)
 }
 
 // parseIngest reads what both ingest endpoints share: the Phase I
-// options in the query string (d0, memory, workers, groups) and the CSV
-// body, which errors call what. pinned, when non-nil, are per-group
-// thresholds that override d0; otherwise d0=0 derives per-group
-// thresholds from the data, exactly like the CLI. On failure it has
-// written the error response and returns ok=false.
-func (s *Server) parseIngest(w http.ResponseWriter, r *http.Request, what string, pinned []float64) (rel *relation.Relation, part *relation.Partitioning, opt core.Options, ok bool) {
+// options in the query string (d0, d0s, memory, workers, groups) and the
+// CSV body, which errors call what. ?d0s= pins one threshold per group
+// and overrides d0; otherwise d0=0 derives per-group thresholds from the
+// data, exactly like the CLI. On failure it has written the error
+// response and returns ok=false.
+func (s *Server) parseIngest(w http.ResponseWriter, r *http.Request, what string) (rel *relation.Relation, part *relation.Partitioning, opt core.Options, ok bool) {
 	q := r.URL.Query()
 	var d0 float64
 	var memory int
@@ -288,6 +288,11 @@ func (s *Server) parseIngest(w http.ResponseWriter, r *http.Request, what string
 			s.writeError(w, http.StatusBadRequest, "bad d0 %q: %v", v, err)
 			return nil, nil, opt, false
 		}
+	}
+	pinned, err := ParseD0s(q.Get("d0s"))
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, "%v", err)
+		return nil, nil, opt, false
 	}
 	if v := q.Get("memory"); v != "" {
 		if memory, err = strconv.Atoi(v); err != nil {
@@ -349,7 +354,7 @@ func (s *Server) parseIngest(w http.ResponseWriter, r *http.Request, what string
 
 // handleIngest streams a CSV relation through the shared Phase I
 // ingester and installs the resulting summary in the catalog under
-// ?name=. Ingest-time options ride in the query string (d0, memory,
+// ?name=. Ingest-time options ride in the query string (d0, d0s, memory,
 // workers, groups), mirroring `darminer ingest`; see parseIngest.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.metrics.IngestRequests.Add(1)
@@ -358,7 +363,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "ingest needs ?name= matching %s", summaryName)
 		return
 	}
-	rel, part, opt, ok := s.parseIngest(w, r, "relation", nil)
+	rel, part, opt, ok := s.parseIngest(w, r, "relation")
 	if !ok {
 		return
 	}

@@ -762,7 +762,7 @@ func TestIngestWorkersClamped(t *testing.T) {
 
 	req := httptest.NewRequest(http.MethodPost, "/v1/ingest?name=wide&d0=1&workers=1000000", bytes.NewReader(body))
 	rec := httptest.NewRecorder()
-	_, _, opt, ok := srv.parseIngest(rec, req, "relation", nil)
+	_, _, opt, ok := srv.parseIngest(rec, req, "relation")
 	if !ok {
 		t.Fatalf("parseIngest: status %d: %s", rec.Code, rec.Body)
 	}
@@ -800,7 +800,7 @@ func TestIngestRejectsNonFiniteThresholds(t *testing.T) {
 		urls = append(urls, "/v1/ingest?name=bad&d0="+d0, "/v1/ingest/shard?d0="+d0)
 	}
 	for _, d0s := range []string{"NaN,1,0", "1,NaN,0", "-1,1,0", "1,-0.5,0", "Inf,1,0", "1,1,-Inf"} {
-		urls = append(urls, "/v1/ingest/shard?d0s="+d0s)
+		urls = append(urls, "/v1/ingest?name=bad&d0s="+d0s, "/v1/ingest/shard?d0s="+d0s)
 	}
 	for _, u := range urls {
 		resp, err := http.Post(ts.URL+u, "text/csv", bytes.NewReader(body))
@@ -815,6 +815,64 @@ func TestIngestRejectsNonFiniteThresholds(t *testing.T) {
 	}
 	if _, ok := srv.catalog.version("bad"); ok {
 		t.Error("a rejected ingest installed a summary")
+	}
+}
+
+// TestIngestPinsD0s: ?d0s= pins one threshold per group on
+// POST /v1/ingest as it does on the shard endpoint, so the stored
+// summary records exactly the pinned vector (GET /v1/summaries/{name},
+// groupDetails[].d0) instead of thresholds derived from the data, and
+// its nonzero entries override a scalar ?d0= (a zero entry falls back
+// to it). A vector that cannot pin the groups is a client error.
+func TestIngestPinsD0s(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	body := salaryCSV(t) // three groups: Age, Salary, Dept (nominal)
+	for _, tc := range []struct {
+		url    string
+		pinned []float64
+	}{
+		{"/v1/ingest?name=pinned&d0s=3,2500,0", []float64{3, 2500, 0}},
+		{"/v1/ingest?name=pinned&d0=7&d0s=3,2500,0", []float64{3, 2500, 7}},
+	} {
+		u, pinned := tc.url, tc.pinned
+		resp, err := http.Post(ts.URL+u, "text/csv", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", u, err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: status %d: %s", u, resp.StatusCode, b)
+		}
+		resp, err = http.Get(ts.URL + "/v1/summaries/pinned")
+		if err != nil {
+			t.Fatalf("GET detail: %v", err)
+		}
+		var detail summaryDetail
+		err = json.NewDecoder(resp.Body).Decode(&detail)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("decoding detail: %v", err)
+		}
+		if len(detail.GroupDetails) != len(pinned) {
+			t.Fatalf("POST %s: %d groups, want %d", u, len(detail.GroupDetails), len(pinned))
+		}
+		for g, gd := range detail.GroupDetails {
+			if gd.D0 != pinned[g] {
+				t.Errorf("POST %s: group %s d0 = %v, want the pinned %v", u, gd.Name, gd.D0, pinned[g])
+			}
+		}
+	}
+	for _, d0s := range []string{"NaN,1", "1,2", "1,2,3,4", "1,x,0"} {
+		resp, err := http.Post(ts.URL+"/v1/ingest?name=bad&d0s="+d0s, "text/csv", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST d0s=%s: %v", d0s, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST /v1/ingest?d0s=%s: status %d, want 400", d0s, resp.StatusCode)
+		}
 	}
 }
 

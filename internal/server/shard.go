@@ -34,14 +34,9 @@ import (
 // encoded summary as the response body.
 func (s *Server) handleShardIngest(w http.ResponseWriter, r *http.Request) {
 	s.metrics.ShardIngestRequests.Add(1)
-	d0s, err := parseD0s(r.URL.Query().Get("d0s"))
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 	// Without ?d0s= the thresholds follow ?d0= as on /v1/ingest; that is
 	// standalone use only — a cluster coordinator always pins ?d0s=.
-	rel, part, opt, ok := s.parseIngest(w, r, "shard", d0s)
+	rel, part, opt, ok := s.parseIngest(w, r, "shard")
 	if !ok {
 		return
 	}
@@ -67,8 +62,11 @@ func (s *Server) handleShardIngest(w http.ResponseWriter, r *http.Request) {
 	w.Write(encoded) //nolint:errcheck // client went away; nothing to do
 }
 
-// parseD0s parses the ?d0s= per-group threshold vector.
-func parseD0s(spec string) ([]float64, error) {
+// ParseD0s parses a ?d0s= per-group threshold vector: comma-separated
+// floats in group order, nil for an empty spec. Whether the values fit
+// the partitioning (one per group, finite, >= 0) is core.Options'
+// validation, so every ingest path rejects a bad vector the same way.
+func ParseD0s(spec string) ([]float64, error) {
 	if spec == "" {
 		return nil, nil
 	}
