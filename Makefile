@@ -79,6 +79,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPlanShards -fuzztime=30s ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzRefine -fuzztime=30s ./internal/cftree
 	$(GO) test -run='^$$' -fuzz=FuzzInsertFlatBatch -fuzztime=30s ./internal/cftree
+	$(GO) test -run='^$$' -fuzz=FuzzWriteJSON -fuzztime=30s ./internal/core
 
 # A short .acfsum decoder fuzz under the race detector, cheap enough to
 # gate every CI run: Decode must never panic on hostile bytes, and
@@ -87,7 +88,10 @@ fuzz:
 # the refinement fuzz pins cftree.Refine to its full-rescan reference;
 # the insert fuzz pins the batched insert kernel (InsertFlatBatch) to its
 # per-tuple reference over random shapes, budgets and chunkings; the CSV
-# fuzz pins ParseCSV's byte scanner to the encoding/csv loop.
+# fuzz pins ParseCSV's byte scanner to the encoding/csv loop; the render
+# fuzz pins WriteJSON's hand-written writer and the description
+# formatter to encoding/json and fmt over hostile names, values and
+# floats.
 fuzzsmoke:
 	$(GO) test -race -run='^$$' -fuzz=FuzzDecode -fuzztime=10s ./internal/summary
 	$(GO) test -race -run='^$$' -fuzz=FuzzQueryOptions -fuzztime=10s ./internal/core
@@ -95,6 +99,7 @@ fuzzsmoke:
 	$(GO) test -race -run='^$$' -fuzz=FuzzRefine -fuzztime=10s ./internal/cftree
 	$(GO) test -race -run='^$$' -fuzz=FuzzInsertFlatBatch -fuzztime=10s ./internal/cftree
 	$(GO) test -race -run='^$$' -fuzz=FuzzParseCSV -fuzztime=10s ./internal/relation
+	$(GO) test -race -run='^$$' -fuzz=FuzzWriteJSON -fuzztime=10s ./internal/core
 
 # The entry-point and query-mode differential suites under the race
 # detector. Entry points: Mine with PostScan off must equal
@@ -107,9 +112,12 @@ fuzzsmoke:
 # the base rule set, bit for bit, across worker counts, merged shards,
 # incremental snapshots, the HTTP endpoints and both CLI paths; answers
 # served over a memoized base must equal a fresh QuerySummary, also
-# while a writer re-ingests.
+# while a writer re-ingests. Rendering: WriteJSON and the description
+# formatter must equal their encoding/json and fmt references, byte for
+# byte, on every mode's answer over the salary, kitchen-sink and WBCD
+# data.
 querydiff:
-	$(GO) test -race -run 'TestQueryIngestMatchesMine|TestQueryNominal|TestIncrementalNominal|TestPostScanNominalDegreesAreExact|TestQueryModes|TestMeasure|TestConviction|TestDiffRules' ./internal/core
+	$(GO) test -race -run 'TestQueryIngestMatchesMine|TestQueryNominal|TestIncrementalNominal|TestPostScanNominalDegreesAreExact|TestQueryModes|TestMeasure|TestConviction|TestDiffRules|TestWriteJSONMatchesReference' ./internal/core
 	$(GO) test -race -run 'TestQueryMode|TestServedDiff|TestModeCache|TestDiffCache|TestDiffMetrics|TestMemo|TestOptionBodies' ./internal/server
 	$(GO) test -race -run 'TestIngestQueryMatchesMine|TestGoldenQuery|TestOldSummary|TestDiffCLI|TestRemoteDiff' ./cmd/darminer
 

@@ -93,7 +93,10 @@ func (s *FileOutlierStore) Put(a *cf.ACF) error {
 // Drain implements OutlierStore. It rewinds the file, decodes every
 // summary, and truncates the file for reuse. gob fills an ACF field by
 // field, which the ACF kernels reject, so each decoded summary comes
-// back re-flattened through Clone.
+// back re-flattened through Clone. gob also cannot carry a nil map
+// inside a slice: an untracked group's histogram decodes as an empty
+// map, so empty histograms go back to nil first. That is exact, since a
+// tracked group of a summary with N > 0 holds at least one key.
 func (s *FileOutlierStore) Drain() ([]*cf.ACF, error) {
 	if s.done {
 		return nil, fmt.Errorf("cftree: outlier store is closed")
@@ -107,6 +110,11 @@ func (s *FileOutlierStore) Drain() ([]*cf.ACF, error) {
 		var a cf.ACF
 		if err := dec.Decode(&a); err != nil {
 			return nil, fmt.Errorf("cftree: decoding outlier %d: %w", i, err)
+		}
+		for g, hist := range a.NomCounts {
+			if len(hist) == 0 {
+				a.NomCounts[g] = nil
+			}
 		}
 		out = append(out, a.Clone())
 	}

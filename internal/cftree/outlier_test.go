@@ -3,6 +3,7 @@ package cftree
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/cf"
@@ -184,5 +185,63 @@ func TestOutlierStoreFailureKeepsClusters(t *testing.T) {
 	}
 	if tr.Stats().OutliersPaged != 0 {
 		t.Errorf("OutliersPaged = %d despite failing store", tr.Stats().OutliersPaged)
+	}
+}
+
+// TestFileOutlierStoreKeepsUntrackedGroups feeds one stream of tuples
+// to two trees that page outliers, one through the file store and one
+// through the memory store, with group 0 untracked and group 1
+// tracked: their final leaves must agree in N, LS, SS, and which groups
+// carry a histogram. gob decodes a nil histogram inside a slice as an
+// empty map, which would otherwise read as tracked.
+func TestFileOutlierStoreKeepsUntrackedGroups(t *testing.T) {
+	file, err := NewFileOutlierStore(t.TempDir())
+	if err != nil {
+		t.Fatalf("NewFileOutlierStore: %v", err)
+	}
+	defer file.Close()
+	var trees []*Tree
+	for _, store := range []OutlierStore{file, NewMemoryOutlierStore()} {
+		trees = append(trees, New(cf.Shape{1, 1}, 0, Config{
+			Threshold:   1,
+			MemoryLimit: 3 << 10,
+			OutlierN:    4,
+			Outliers:    store,
+			Track:       []bool{false, true},
+		}))
+	}
+	for _, tr := range trees {
+		for i := 0; i < 2000; i++ {
+			insertProj(tr, twoGroupProj(float64(i%7), float64(i%3)))
+		}
+		for i := 0; i < 30; i++ {
+			insertProj(tr, twoGroupProj(1e6+float64(i)*1e5, float64(i%2)))
+		}
+	}
+	if trees[0].Stats().OutliersPaged == 0 {
+		t.Fatal("test needs outliers paged through the file store")
+	}
+	fromFile, err := trees[0].Finish()
+	if err != nil {
+		t.Fatalf("Finish (file store): %v", err)
+	}
+	fromMemory, err := trees[1].Finish()
+	if err != nil {
+		t.Fatalf("Finish (memory store): %v", err)
+	}
+	if len(fromFile) != len(fromMemory) {
+		t.Fatalf("%d leaves through the file store, %d through memory", len(fromFile), len(fromMemory))
+	}
+	for i, a := range fromFile {
+		b := fromMemory[i]
+		if a.N != b.N || !reflect.DeepEqual(a.LS, b.LS) || !reflect.DeepEqual(a.SS, b.SS) {
+			t.Fatalf("leaf %d: file store N=%d LS=%v SS=%v, memory N=%d LS=%v SS=%v", i, a.N, a.LS, a.SS, b.N, b.LS, b.SS)
+		}
+		for g := 0; g < 2; g++ {
+			if a.Tracked(g) != b.Tracked(g) || !reflect.DeepEqual(a.NomCounts[g], b.NomCounts[g]) {
+				t.Fatalf("leaf %d group %d: file store tracked=%v %v, memory tracked=%v %v",
+					i, g, a.Tracked(g), a.NomCounts[g], b.Tracked(g), b.NomCounts[g])
+			}
+		}
 	}
 }

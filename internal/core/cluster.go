@@ -1,8 +1,7 @@
 package core
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/cf"
 	"repro/internal/distance"
@@ -62,24 +61,39 @@ func (c *Cluster) approxBox() {
 // Describe renders the cluster like "Salary ∈ [80000, 82000]" using the
 // partitioning's group names and the source's value formatting.
 func (c *Cluster) Describe(rel relation.Source, part *relation.Partitioning) string {
-	g := part.Group(c.Group)
-	var b strings.Builder
-	for k, attr := range g.Attrs {
+	return string(c.appendDescription(nil, rel.Schema(), part))
+}
+
+// appendDescription appends the cluster's description (Section 7.2) to
+// b: one "name ∈ [lo, hi]" term per attribute of its group, joined by
+// " ∧ ", with bounds at 5 significant digits (strconv's 'g' at precision
+// 5, which is fmt's %.5g). A nominal attribute reads "name = value"; an
+// interval attribute without a box reads "name ≈ centroid". Text output,
+// diff signatures and the JSON document all describe clusters here.
+func (c *Cluster) appendDescription(b []byte, schema *relation.Schema, part *relation.Partitioning) []byte {
+	ls, n := c.ACF.LS[c.ACF.Own], float64(c.ACF.N)
+	for k, attr := range part.Group(c.Group).Attrs {
 		if k > 0 {
-			b.WriteString(" ∧ ")
+			b = append(b, " ∧ "...)
 		}
-		name := rel.Schema().Attr(attr).Name
-		if rel.Schema().Attr(attr).Kind == relation.Nominal {
+		a := schema.Attr(attr)
+		b = append(b, a.Name...)
+		switch {
+		case a.Kind == relation.Nominal:
 			// A nominal cluster is single-valued (Theorem 5.1 regime);
 			// its centroid is the value's code.
-			fmt.Fprintf(&b, "%s = %s", name, rel.Schema().FormatValue(attr, c.Centroid()[k]))
-			continue
+			b = append(b, " = "...)
+			b = append(b, schema.FormatValue(attr, ls[k]/n)...)
+		case c.Lo == nil || c.Hi == nil:
+			b = append(b, " ≈ "...)
+			b = strconv.AppendFloat(b, ls[k]/n, 'g', 5, 64)
+		default:
+			b = append(b, " ∈ ["...)
+			b = strconv.AppendFloat(b, c.Lo[k], 'g', 5, 64)
+			b = append(b, ", "...)
+			b = strconv.AppendFloat(b, c.Hi[k], 'g', 5, 64)
+			b = append(b, ']')
 		}
-		if c.Lo == nil || c.Hi == nil {
-			fmt.Fprintf(&b, "%s ≈ %.5g", name, c.Centroid()[k])
-			continue
-		}
-		fmt.Fprintf(&b, "%s ∈ [%.5g, %.5g]", name, c.Lo[k], c.Hi[k])
 	}
-	return b.String()
+	return b
 }

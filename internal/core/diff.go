@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 
 	"repro/internal/relation"
 )
@@ -53,21 +52,7 @@ type RuleDiff struct {
 // descriptions joined with the rule arrow, no degree suffix. Two rules
 // from different summaries match when their signatures agree.
 func RuleSignature(res *Result, r Rule, rel relation.Source, part *relation.Partitioning) string {
-	var b strings.Builder
-	for i, id := range r.Antecedent {
-		if i > 0 {
-			b.WriteString(" ∧ ")
-		}
-		b.WriteString(res.Clusters[id].Describe(rel, part))
-	}
-	b.WriteString(" ⇒ ")
-	for i, id := range r.Consequent {
-		if i > 0 {
-			b.WriteString(" ∧ ")
-		}
-		b.WriteString(res.Clusters[id].Describe(rel, part))
-	}
-	return b.String()
+	return string(appendSignature(nil, r, res.describer(rel.Schema(), part)))
 }
 
 // signatureDegrees collapses a result to signature → degree. Should two

@@ -1,8 +1,7 @@
 package core
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
 	"time"
 
 	"repro/internal/relation"
@@ -59,26 +58,54 @@ type Result struct {
 //
 //	Age ∈ [41, 47] ∧ Dependents ∈ [2, 5] ⇒ Claims ∈ [10000, 14000] (degree 0.42, support 113)
 func (res *Result) DescribeRule(r Rule, rel relation.Source, part *relation.Partitioning) string {
-	var b strings.Builder
+	b := appendSignature(nil, r, res.describer(rel.Schema(), part))
+	return string(appendDegree(b, r))
+}
+
+// describer returns an appendSignature callback that describes each
+// cluster afresh through Cluster.appendDescription.
+func (res *Result) describer(schema *relation.Schema, part *relation.Partitioning) func([]byte, int) []byte {
+	return func(b []byte, id int) []byte {
+		return res.Clusters[id].appendDescription(b, schema, part)
+	}
+}
+
+// appendSignature appends r's clusters' descriptions joined over the
+// rule shape — antecedent terms, " ⇒ ", consequent terms, each list
+// joined by " ∧ " — with describe appending the description of one
+// cluster ID. The separators hold nothing JSON escapes and open and
+// close on ASCII spaces, so a rule's escaped description is its
+// clusters' escaped descriptions joined the same way (WriteJSON relies
+// on this).
+func appendSignature(b []byte, r Rule, describe func(b []byte, id int) []byte) []byte {
 	for i, id := range r.Antecedent {
 		if i > 0 {
-			b.WriteString(" ∧ ")
+			b = append(b, " ∧ "...)
 		}
-		b.WriteString(res.Clusters[id].Describe(rel, part))
+		b = describe(b, id)
 	}
-	b.WriteString(" ⇒ ")
+	b = append(b, " ⇒ "...)
 	for i, id := range r.Consequent {
 		if i > 0 {
-			b.WriteString(" ∧ ")
+			b = append(b, " ∧ "...)
 		}
-		b.WriteString(res.Clusters[id].Describe(rel, part))
+		b = describe(b, id)
 	}
-	fmt.Fprintf(&b, " (degree %.3f", r.Degree)
+	return b
+}
+
+// appendDegree appends DescribeRule's suffix: " (degree 0.420)", with
+// ", support N" before the parenthesis when the support was counted.
+// The degree has 3 decimals (strconv's 'f' at precision 3, which is
+// fmt's %.3f).
+func appendDegree(b []byte, r Rule) []byte {
+	b = append(b, " (degree "...)
+	b = strconv.AppendFloat(b, r.Degree, 'f', 3, 64)
 	if r.Support >= 0 {
-		fmt.Fprintf(&b, ", support %d", r.Support)
+		b = append(b, ", support "...)
+		b = strconv.AppendInt(b, r.Support, 10)
 	}
-	b.WriteString(")")
-	return b.String()
+	return append(b, ')')
 }
 
 // Mine runs the full pipeline: Ingest over the relation, the summary

@@ -428,3 +428,60 @@ func TestOptionBodiesRejectTrailingData(t *testing.T) {
 		}
 	}
 }
+
+// TestCachedBodiesAreTight checks that the result cache holds what
+// cache_bytes counts: every body it stores has at most allocator
+// rounding past its length (an eighth, or one 8 KiB page), not the
+// spare capacity of a buffer the render grew into. It runs over the
+// salary golden dataset and a 20K-tuple WBCD summary, at topK 0 and 10.
+func TestCachedBodiesAreTight(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	postIngest(t, ts, "salary", "", salaryCSV(t))
+
+	cfg := datagen.DefaultWBCDConfig()
+	cfg.Tuples = 20000
+	rel, err := datagen.WBCDLike(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part := relation.SingletonPartitioning(rel.Schema())
+	opt := core.DefaultOptions()
+	if opt.DiameterThresholds, err = core.SuggestThresholds(rel, part, core.AdvisorOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	sum, err := core.Ingest(rel, part, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	encoded, err := summary.Encode(sum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := srv.InstallSummary("wbcd", encoded); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, name := range []string{"salary", "wbcd"} {
+		for _, doc := range []string{`{}`, `{"topK":10}`} {
+			if resp, body := postQuery(t, ts, name, doc); resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s %s: %d %s", name, doc, resp.StatusCode, body)
+			}
+		}
+	}
+	srv.cache.mu.Lock()
+	defer srv.cache.mu.Unlock()
+	bodies := 0
+	for key, e := range srv.cache.m {
+		if e.body == nil {
+			continue
+		}
+		bodies++
+		slack := max(len(e.body)/8, 8<<10)
+		if cap(e.body) > len(e.body)+slack {
+			t.Errorf("cached body %q: cap %d for %d bytes (slack %d)", key, cap(e.body), len(e.body), slack)
+		}
+	}
+	if bodies != 4 {
+		t.Errorf("cache holds %d bodies, want 4", bodies)
+	}
+}

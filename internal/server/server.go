@@ -591,10 +591,11 @@ func (s *Server) queryBase(name string, v uint64, sum *summary.Summary, q core.Q
 }
 
 // renderResult renders a query result over sum as `darminer query
-// -json` does: the core.Export document, two-space indented, trailing
-// newline. Cluster descriptions come from the summary's recorded schema
-// — an empty relation over it serves as the value formatter, as on the
-// CLI path.
+// -json` does, through core.WriteJSON. Cluster descriptions come from
+// the summary's recorded schema — an empty relation over it serves as
+// the value formatter, as on the CLI path. WriteJSON hands the buffer
+// the whole document in one Write, so the body the result cache keeps
+// is sized to it: cache_bytes counts what the cache holds.
 func renderResult(sum *summary.Summary, res *core.Result) ([]byte, error) {
 	schema, err := sum.Schema()
 	if err != nil {
