@@ -64,10 +64,15 @@ lintbudget: darlint
 # The Phase I lane differential under the race detector at GOMAXPROCS
 # 1, 2 and 4: the calling goroutine inserts its own stripe of trees
 # while the lanes it spawned insert theirs, and summary bytes at every
-# Workers count must equal the one-lane scan's. race alone checks only
-# the runner's own core count.
+# Workers count must equal the one-lane scan's. The steps before Phase
+# I fan out too and are raced the same way: the threshold advisor must
+# give bit-identical thresholds (and the same overflow error) at every
+# Workers count, and the chunked CSV scan the one-chunk scan's values,
+# record ends and dictionary codes at 1 to 8 chunks. race alone checks
+# only the runner's own core count.
 lanediff:
-	$(GO) test -race -cpu 1,2,4 -run 'TestLanesMatchSerial|TestLaneGoroutines|TestParallelPhaseIMatchesSerial|TestPipelineSteadyStateAllocs|TestStripeAssignment' ./internal/core
+	$(GO) test -race -cpu 1,2,4 -run 'TestLanesMatchSerial|TestLaneGoroutines|TestParallelPhaseIMatchesSerial|TestPipelineSteadyStateAllocs|TestStripeAssignment|TestSuggestThresholdsWorkersMatchSerial' ./internal/core
+	$(GO) test -race -cpu 1,2,4 -run 'TestParseCSVChunksMatchSerial' ./internal/relation
 
 # Short fuzz sessions for the ingestion paths; extend -fuzztime for a
 # real campaign.

@@ -117,7 +117,7 @@ func readArtifact(t *testing.T, dataDir, name string) []byte {
 // pinned thresholds, fold with MergeAll in shard order.
 func localReference(t *testing.T, csv []byte, groups string, shards int, name string) []byte {
 	t.Helper()
-	rel, ends, err := relation.ParseCSV(csv)
+	rel, ends, err := relation.ParseCSV(csv, 1)
 	if err != nil {
 		t.Fatalf("ParseCSV: %v", err)
 	}
@@ -489,6 +489,35 @@ func TestClusterIngestPinsD0s(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dataDir, "bad.acfsum")); !os.IsNotExist(err) {
 		t.Errorf("a rejected ingest left an artifact: %v", err)
+	}
+}
+
+// TestClusterIngestOversizedBody: a cluster ingest body past darc's
+// MaxIngestBytes is answered 413 and installs nothing; one within it
+// still ingests.
+func TestClusterIngestOversizedBody(t *testing.T) {
+	_, w1 := newDard(t)
+	body := testCSV(11, 200)
+	coord, dataDir := newCoordinator(t, []string{w1.URL}, func(cfg *Config) {
+		cfg.MaxIngestBytes = int64(len(body))
+	})
+	for _, c := range []struct {
+		name string
+		body []byte
+		want int
+	}{
+		{"fits", body, http.StatusOK},
+		{"big", append(append([]byte(nil), body...), body[len(body)-20:]...), http.StatusRequestEntityTooLarge},
+	} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/cluster/ingest?name="+c.name, bytes.NewReader(c.body))
+		rec := httptest.NewRecorder()
+		coord.Handler().ServeHTTP(rec, req)
+		if rec.Code != c.want {
+			t.Errorf("%d-byte body under a %d-byte limit: status %d, want %d: %s", len(c.body), len(body), rec.Code, c.want, rec.Body)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dataDir, "big.acfsum")); !os.IsNotExist(err) {
+		t.Errorf("an oversized ingest left an artifact: %v", err)
 	}
 }
 

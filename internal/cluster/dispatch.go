@@ -70,7 +70,10 @@ func (c *Coordinator) IngestCSV(ctx context.Context, name string, csv []byte, op
 }
 
 func (c *Coordinator) ingest(ctx context.Context, name string, csv []byte, opt client.IngestOptions) (IngestReport, error) {
-	rel, ends, err := relation.ParseCSV(csv)
+	// The plan parses and derives thresholds on one core, whatever the
+	// request's Phase I width: darc's query handlers share the host
+	// (DESIGN.md §14).
+	rel, ends, err := relation.ParseCSV(csv, 1)
 	if err != nil {
 		return IngestReport{}, fmt.Errorf("%w: parsing CSV relation: %w", errBadIngest, err)
 	}

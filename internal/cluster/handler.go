@@ -86,14 +86,9 @@ func (c *Coordinator) handleClusterIngest(w http.ResponseWriter, r *http.Request
 	}
 	opt.Groups = r.URL.Query().Get("groups")
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.cfg.MaxIngestBytes))
+	body, status, err := server.ReadBody(w, r, c.cfg.MaxIngestBytes)
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			c.writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
-		} else {
-			c.writeErr(w, http.StatusBadRequest, "reading request body: %v", err)
-		}
+		c.writeErr(w, status, "%v", err)
 		return
 	}
 
@@ -144,9 +139,9 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.metrics.FanoutQueries.Add(1)
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.cfg.MaxQueryBytes))
+	body, _, err := server.ReadBody(w, r, c.cfg.MaxQueryBytes)
 	if err != nil {
-		c.writeErr(w, http.StatusBadRequest, "reading query body: %v", err)
+		c.writeErr(w, http.StatusBadRequest, "query body: %v", err)
 		return
 	}
 	for _, wk := range c.candidates(name) {

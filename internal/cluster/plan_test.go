@@ -12,7 +12,7 @@ import (
 // (rows, want): stable bytes, contiguous coverage, row order intact.
 func TestPlanDeterminism(t *testing.T) {
 	csv := testCSV(3, 100)
-	rel, ends, err := relation.ParseCSV(csv)
+	rel, ends, err := relation.ParseCSV(csv, 1)
 	if err != nil {
 		t.Fatalf("ParseCSV: %v", err)
 	}
@@ -70,7 +70,7 @@ func FuzzPlanShards(f *testing.F) {
 	f.Add([]byte("Segment:nominal,Spend\n,1\n0,2\n,3\n0,4\n"), uint8(3))
 	f.Add(testCSV(1, 20), uint8(7))
 	f.Fuzz(func(t *testing.T, body []byte, wantShards uint8) {
-		rel, ends, err := relation.ParseCSV(body)
+		rel, ends, err := relation.ParseCSV(body, 1)
 		if err != nil || rel.Len() == 0 {
 			return
 		}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"repro/internal/parallel"
 	"repro/internal/relation"
 )
 
@@ -35,6 +36,11 @@ type AdvisorOptions struct {
 	// MinJump is the multiplicative gap treated as scale separation.
 	// Defaults to 3.
 	MinJump float64
+	// Workers bounds the goroutines deriving groups' thresholds at once
+	// (one group per task, through parallel.For); 0 or 1 means serial,
+	// as with Options.Workers. The thresholds are bit-identical at any
+	// count.
+	Workers int
 }
 
 func (o AdvisorOptions) withDefaults() AdvisorOptions {
@@ -111,12 +117,17 @@ func SuggestThresholds(rel relation.Source, part *relation.Partitioning, opt Adv
 		return nil, fmt.Errorf("core: advisor sample scan: %w", err)
 	}
 
+	// Each group's threshold is its own task (sorting the sample's
+	// pairwise distances is nearly all of the advisor's time); the
+	// overflow check then runs in group order, so the error names the
+	// same group at any worker count.
 	out := make([]float64, groups)
-	for g := 0; g < groups; g++ {
-		if nominal[g] {
-			continue // 0: exact-value clustering
+	parallel.For(clampWorkers(opt.Workers, groups), groups, func(g int) {
+		if !nominal[g] { // nominal groups keep 0: exact-value clustering
+			out[g] = suggestFromSample(samples[g], opt.MinJump)
 		}
-		out[g] = suggestFromSample(samples[g], opt.MinJump)
+	})
+	for g := 0; g < groups; g++ {
 		if math.IsInf(out[g], 0) {
 			return nil, fmt.Errorf("core: group %q: sampled pairwise distances overflow float64, so no finite d0 fits them", part.Group(g).Name)
 		}

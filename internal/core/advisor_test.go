@@ -1,9 +1,12 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/relation"
 )
 
@@ -121,5 +124,54 @@ func TestSuggestFromSampleUnimodal(t *testing.T) {
 	d0 := suggestFromSample(pts, 3)
 	if d0 <= 0 || d0 > 25 {
 		t.Errorf("unimodal d0 = %v", d0)
+	}
+}
+
+// TestSuggestThresholdsWorkersMatchSerial: the advisor derives each
+// group's threshold as its own task, so at Workers 1, 2 and 4 the
+// thresholds must be bit-identical, and a relation whose second and
+// third groups overflow must fail naming the second at every count.
+func TestSuggestThresholdsWorkersMatchSerial(t *testing.T) {
+	cfg := datagen.DefaultWBCDConfig()
+	cfg.Tuples = 2000
+	wbcd, err := datagen.WBCDLike(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := relation.MustSchema(
+		relation.Attribute{Name: "a"}, relation.Attribute{Name: "b"},
+		relation.Attribute{Name: "c"}, relation.Attribute{Name: "d"},
+	)
+	overflow := relation.NewRelation(s)
+	for i := 0; i < 300; i++ {
+		overflow.MustAppend([]float64{float64(i % 17), 1e200 * float64(i%2*2-1), 1e300 * float64(i%3), float64(i)})
+	}
+	for _, ds := range []struct {
+		name string
+		rel  *relation.Relation
+	}{
+		{"wbcd", wbcd},
+		{"mixedNominal", mixedNominalRelation(rand.New(rand.NewSource(93)), 600)},
+		{"overflow", overflow},
+	} {
+		part := relation.SingletonPartitioning(ds.rel.Schema())
+		want, wantErr := SuggestThresholds(ds.rel, part, AdvisorOptions{Workers: 1})
+		for _, workers := range []int{2, 4} {
+			got, err := SuggestThresholds(ds.rel, part, AdvisorOptions{Workers: workers})
+			if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+				t.Fatalf("%s, Workers=%d: error %v, want %v", ds.name, workers, err, wantErr)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s, Workers=%d: %d thresholds, want %d", ds.name, workers, len(got), len(want))
+			}
+			for g := range want {
+				if math.Float64bits(got[g]) != math.Float64bits(want[g]) {
+					t.Errorf("%s, Workers=%d: group %d d0 %v, want %v", ds.name, workers, g, got[g], want[g])
+				}
+			}
+		}
+		if ds.name == "overflow" && (wantErr == nil || !strings.Contains(wantErr.Error(), `group "b"`)) {
+			t.Errorf("overflow: error %v, want one naming group \"b\"", wantErr)
+		}
 	}
 }

@@ -39,8 +39,12 @@ type ingester struct {
 	nominal []bool
 	trees   []*cftree.Tree
 	seen    int
-	offs    []int     // offset of each group inside a flat projection row
-	row     []float64 // reusable flat projection row (all groups, group order)
+	offs    []int // offset of each group inside a flat projection row
+	stride  int   // floats in a flat projection row (all groups, group order)
+	// pending buffers the projection rows add has not inserted yet,
+	// npending of them, at most batchTuples.
+	pending  []float64
+	npending int
 }
 
 // newIngester builds the per-group trees. nominal groups are clustered
@@ -75,7 +79,7 @@ func newIngester(part *relation.Partitioning, opt Options, expectTuples int) *in
 		ing.offs[g] = stride
 		stride += ing.shape[g]
 	}
-	ing.row = make([]float64, stride)
+	ing.stride = stride
 	for g := 0; g < groups; g++ {
 		threshold := opt.diameterFor(g)
 		limit := perTreeLimit(opt.MemoryLimit, groups)
@@ -124,18 +128,34 @@ func (ing *ingester) projectRow(tuple, row []float64) {
 	}
 }
 
-// add ingests one full-width tuple: a batch of one through the same
-// insert kernel the scan pipeline runs.
+// add ingests one full-width tuple. It projects the tuple into the
+// pending batch and inserts the batch, through the insert kernel the
+// scan pipeline runs, when it holds batchTuples rows; collect inserts
+// a partial one. The kernel's output does not depend on how the tuples
+// are batched, so a snapshot taken at any count equals Ingest over the
+// tuples seen.
 func (ing *ingester) add(tuple []float64) error {
 	if len(tuple) != ing.part.Schema().Width() {
 		return fmt.Errorf("core: tuple width %d, schema width %d", len(tuple), ing.part.Schema().Width())
 	}
-	ing.projectRow(tuple, ing.row)
-	for _, tr := range ing.trees {
-		tr.InsertFlatBatch(ing.row, 1, len(ing.row))
+	if ing.pending == nil {
+		ing.pending = make([]float64, batchTuples*ing.stride)
 	}
+	ing.projectRow(tuple, ing.pending[ing.npending*ing.stride:(ing.npending+1)*ing.stride])
+	ing.npending++
 	ing.seen++
+	if ing.npending == batchTuples {
+		ing.flush()
+	}
 	return nil
+}
+
+// flush inserts the pending rows into every tree.
+func (ing *ingester) flush() {
+	for _, tr := range ing.trees {
+		tr.InsertFlatBatch(ing.pending, ing.npending, ing.stride)
+	}
+	ing.npending = 0
 }
 
 // addSource scans an entire relation into the trees — one scan at any
@@ -149,21 +169,25 @@ func (ing *ingester) add(tuple []float64) error {
 // same-cluster run. Every tree still sees every tuple in scan order, so
 // the result is bit-identical at any worker count.
 func (ing *ingester) addSource(rel relation.Source) error {
-	if err := ingestPipeline(rel, ing.opt.Workers, len(ing.row), ing.trees, ing.projectRow); err != nil {
+	if err := ingestPipeline(rel, ing.opt.Workers, ing.stride, ing.trees, ing.projectRow); err != nil {
 		return fmt.Errorf("core: phase I scan: %w", err)
 	}
 	ing.seen += rel.Len()
 	return nil
 }
 
-// collect reads the per-group leaf ACFs and tree stats. finish=true
-// routes through Tree.Finish — re-absorbing paged outliers and ending
-// the ingest — and hands back the trees' own ACFs; finish=false
-// snapshots via Tree.Leaves and clones, so the stream can continue.
+// collect inserts add's pending rows, then reads the per-group leaf
+// ACFs and tree stats. finish=true routes through Tree.Finish —
+// re-absorbing paged outliers and ending the ingest — and hands back
+// the trees' own ACFs; finish=false snapshots via Tree.Leaves and
+// clones, so the stream can continue.
 // Either way it fails with cftree.ErrOverflow when a tree stopped on
 // overflowing sums or a leaf's sums are not finite, so no summary
 // carries +Inf or NaN features.
 func (ing *ingester) collect(finish bool) ([][]*cf.ACF, []cftree.Stats, error) {
+	if ing.npending > 0 {
+		ing.flush()
+	}
 	leaves := make([][]*cf.ACF, len(ing.trees))
 	stats := make([]cftree.Stats, len(ing.trees))
 	for g, tr := range ing.trees {

@@ -25,37 +25,6 @@ func clampWorkers(w, tasks int) int {
 	return w
 }
 
-// parallelFor runs fn(i) for every i in [0, n). With workers <= 1 it is a
-// plain loop — the serial paths of both phases go through here so the
-// parallel code cannot drift from them. With more workers, indices are
-// handed out through a channel in ascending order so an expensive task
-// (a dense graph row, a large clique) does not stall a fixed stripe.
-// fn must write only to per-index state; merging is the caller's job.
-func parallelFor(workers, n int, fn func(i int)) {
-	if workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-}
-
 // batchTuples is the number of projected tuples per pipeline batch: large
 // enough to amortize channel handoffs, small enough that a handful of
 // in-flight batches stay cache- and memory-cheap.

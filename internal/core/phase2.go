@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/distance"
 	"repro/internal/graph"
+	"repro/internal/parallel"
 )
 
 // PhaseIIStats reports on the rule-formation phase (Section 7.2 discusses
@@ -140,7 +141,7 @@ func (e *ruleEngine) buildGraph(clusters []*Cluster, st *PhaseIIStats) *graph.Un
 		comparisons, pruned int
 	}
 	rows := make([]graphRow, len(clusters))
-	parallelFor(e.opt.effectiveWorkers(len(clusters)), len(clusters), func(i int) {
+	parallel.For(e.opt.effectiveWorkers(len(clusters)), len(clusters), func(i int) {
 		row := &rows[i]
 		ci := clusters[i]
 		for j := i + 1; j < len(clusters); j++ {
@@ -231,7 +232,7 @@ func (e *ruleEngine) rulesFromCliques(clusters []*Cluster, cliques [][]int, co c
 		}
 	} else {
 		perQ1 := make([][]Rule, len(cliques))
-		parallelFor(workers, len(cliques), func(qi int) {
+		parallel.For(workers, len(cliques), func(qi int) {
 			local := make(map[string]bool)
 			var rules []Rule
 			for qj := 0; qj < len(cliques); qj++ {

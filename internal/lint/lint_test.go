@@ -30,6 +30,7 @@ func TestRawGoroutine(t *testing.T) {
 		"internal/pipeline", // true positives + escape hatch
 		"internal/graph",    // negative: sanctioned package
 		"internal/core",     // negative: sanctioned parallel.go file
+		"internal/parallel", // negative: sanctioned ordered fan-out package
 		"internal/ingest",   // batched-pipeline shapes outside the pool file
 		"internal/server",   // negative: sanctioned serving layer (flight/deadline/listener shapes)
 		"internal/storage",  // negative: sanctioned storage engine (WAL writer/compactor owners)

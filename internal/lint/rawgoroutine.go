@@ -13,11 +13,14 @@ import (
 // RawGoroutineAnalyzer flags `go` statements in the mining packages
 // outside the sanctioned concurrency primitives. All parallelism in the
 // miner is supposed to flow through the worker-pool helpers
-// (internal/core/parallel.go's parallelFor and the clique fan-out in
-// internal/graph): those merge per-task results in task order, which is
-// what makes the output bit-identical at any worker count. A goroutine
-// spawned anywhere else has no such merge discipline and is exactly how
-// ordering and data races sneak in.
+// (internal/parallel's For, the Phase I lane pipeline in
+// internal/core/parallel.go and the clique fan-out in internal/graph):
+// those merge per-task results in task order, which is what makes the
+// output bit-identical at any worker count. A goroutine spawned anywhere
+// else has no such merge discipline and is exactly how ordering and data
+// races sneak in. internal/parallel is a leaf package so that
+// internal/relation, which internal/core imports, can fan out its
+// chunked CSV scan through the same helper.
 //
 // internal/server is also sanctioned: a serving layer legitimately
 // spawns goroutines that never touch mining results — singleflight
@@ -49,7 +52,7 @@ func init() {
 		`(^|/)internal/`,
 		"regexp of package import paths the analyzer applies to")
 	RawGoroutineAnalyzer.Flags.StringVar(&rawGoroutineSanction, "sanction",
-		"internal/core/parallel.go,internal/graph,internal/server,internal/storage,internal/cluster",
+		"internal/parallel,internal/core/parallel.go,internal/graph,internal/server,internal/storage,internal/cluster",
 		"comma-separated package or file suffixes where goroutines are sanctioned")
 }
 

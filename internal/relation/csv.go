@@ -7,9 +7,12 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"strconv"
 	"strings"
 	"unicode/utf8"
+
+	"repro/internal/parallel"
 )
 
 // CSV format used by the cmd/ tools:
@@ -21,13 +24,14 @@ import (
 // arbitrary strings; interval and ordinal cells must parse as floats.
 
 // ReadCSV reads a relation in the annotated-header format from rd. It
-// reads the whole input into memory first and parses it with ParseCSV.
+// reads the whole input into memory first and parses it with ParseCSV
+// at GOMAXPROCS, the width dard's POST /v1/ingest parses at by default.
 func ReadCSV(rd io.Reader) (*Relation, error) {
 	var buf bytes.Buffer
 	if _, err := io.Copy(&buf, rd); err != nil {
 		return nil, fmt.Errorf("relation: reading CSV: %w", err)
 	}
-	return parseCSV(buf.Bytes(), nil)
+	return parseCSV(buf.Bytes(), nil, runtime.GOMAXPROCS(0), chunkBytes)
 }
 
 // ParseCSV parses a relation in the annotated-header format from body
@@ -49,14 +53,27 @@ func ReadCSV(rd io.Reader) (*Relation, error) {
 // non-finite, and a nominal cell whose first byte after ASCII-space
 // trimming is non-ASCII (encoding/csv also trims leading Unicode
 // spaces).
-func ParseCSV(body []byte) (*Relation, []int64, error) {
+//
+// The scanner cuts the rows into min(width, ⌈row bytes / 1 MiB⌉)
+// chunks and scans them on that many goroutines (see scanRows): width 0
+// or 1, or a body with at most 1 MiB of rows, scans on the calling
+// goroutine. The relation, its dictionary codes and the record ends are
+// the same at every width.
+func ParseCSV(body []byte, width int) (*Relation, []int64, error) {
 	var ends []int64
-	rel, err := parseCSV(body, &ends)
+	rel, err := parseCSV(body, &ends, width, chunkBytes)
 	return rel, ends, err
 }
 
-// parseCSV is ParseCSV that records the ends only when ends is non-nil.
-func parseCSV(body []byte, ends *[]int64) (*Relation, error) {
+// chunkBytes is the row bytes that earn the scanner one more chunk: a
+// goroutine pays off only over a chunk far longer than it takes to
+// start one.
+const chunkBytes = 1 << 20
+
+// parseCSV is ParseCSV that records the ends only when ends is non-nil
+// and cuts min(width, ⌈row bytes / minChunk⌉) chunks. Tests pass
+// minChunk 1 to cut even a small body into width chunks.
+func parseCSV(body []byte, ends *[]int64, width, minChunk int) (*Relation, error) {
 	if bytes.IndexByte(body, '"') >= 0 || bytes.IndexByte(body, '\r') >= 0 {
 		return readCSV(bytes.NewReader(body), ends)
 	}
@@ -67,40 +84,175 @@ func parseCSV(body []byte, ends *[]int64) (*Relation, error) {
 		return nil, err
 	}
 	rel := NewRelation(schema)
-	if !scanRows(rel, body, cr.InputOffset(), ends) {
+	start := int(cr.InputOffset())
+	k := max(1, min(width, (len(body)-start+minChunk-1)/minChunk))
+	if !scanRows(rel, body, start, ends, k) {
 		return readCSV(bytes.NewReader(body), ends)
 	}
 	return rel, nil
 }
 
+// csvChunk is one range of scanRows' row region, body[lo:hi]; lo is the
+// start of a line.
+type csvChunk struct {
+	lo, hi int
+	rows   int // non-empty lines, counted by pass 1
+	commas int // ',' bytes on them
+	row0   int // rows in the chunks before this one
+	// dicts holds the chunk's nominal dictionaries, indexed by
+	// attribute: the schema's own for the first chunk, chunk-local ones
+	// for the others, which the merge folds into the schema's.
+	dicts []*Dictionary
+	ok    bool // pass 2 accepted every row
+}
+
 // scanRows parses the rows of body, which start at offset start, into
-// rel and appends their record ends (header end first) to *ends when
+// rel and stores their record ends (header end first) in *ends when
 // ends is non-nil. It reports false, leaving *ends untouched, on the
 // first thing it does not handle exactly as readCSV would. A row is
 // split at every ','; cells lose leading ASCII spaces as
 // TrimLeadingSpace would, and numeric cells trailing ones too, as
 // strings.TrimSpace would; a blank line is skipped.
 //
-// The relation and the ends are pre-sized from the newline count, but
-// never beyond the body's own size: blank lines, or short rows behind a
-// wide header, must not commit more memory than the body occupies
-// before the scan rejects them.
-func scanRows(rel *Relation, body []byte, start int64, ends *[]int64) bool {
+// The row region is cut at line starts into k chunks, scanned in two
+// passes, each one goroutine per chunk through parallel.For (k = 1 runs
+// both on the caller):
+//
+//  1. Count each chunk's non-empty lines and ',' bytes. An accepted row
+//     has exactly width−1 commas, so a chunk whose count differs from
+//     rows × (width−1) holds a row with the wrong field count, and the
+//     body falls back before the relation is allocated. Blank lines
+//     thus cost no backing, and short rows behind a wide header commit
+//     none ahead of their rejection.
+//  2. Allocate the relation's backing and the record ends at exactly
+//     the counted size and parse each chunk into its own slice of both.
+//     The first chunk codes nominal cells in the schema's dictionaries;
+//     later chunks code them in chunk-local ones.
+//
+// A serial merge then registers each later chunk's local values in the
+// schema's dictionary, in chunk order and local first-seen order, and
+// rewrites that chunk's nominal cells. Codes therefore come out in
+// first-seen order over the whole body, as a one-chunk scan assigns
+// them.
+func scanRows(rel *Relation, body []byte, start int, ends *[]int64, k int) bool {
 	s := rel.schema
 	w := s.Width()
-	rows := min(bytes.Count(body[start:], []byte{'\n'})+1, len(body)/(8*max(w, 1))+1)
-	rel.data = make([]float64, 0, rows*w)
+	chunks := cutChunks(body, start, k)
+	parallel.For(k, k, func(c int) { chunks[c].count(body) })
+	rows := 0
+	for c := range chunks {
+		ch := &chunks[c]
+		if ch.commas != ch.rows*(w-1) {
+			return false
+		}
+		ch.row0 = rows
+		rows += ch.rows
+	}
+
+	data := make([]float64, rows*w)
 	var recEnds []int64
 	if ends != nil {
-		recEnds = append(make([]int64, 0, rows+1), start)
+		recEnds = make([]int64, rows+1)
+		recEnds[0] = int64(start)
 	}
-	for off := int(start); off < len(body); {
-		line := body[off:]
+	parallel.For(k, k, func(c int) {
+		ch := &chunks[c]
+		ch.dicts = make([]*Dictionary, w)
+		for i := range s.attrs {
+			if a := &s.attrs[i]; a.Kind == Nominal {
+				if c == 0 {
+					ch.dicts[i] = a.Dict
+				} else {
+					ch.dicts[i] = NewDictionary()
+				}
+			}
+		}
+		var chEnds []int64
+		if recEnds != nil {
+			chEnds = recEnds[1+ch.row0 : 1+ch.row0+ch.rows]
+		}
+		ch.ok = ch.parse(body, s, data[ch.row0*w:(ch.row0+ch.rows)*w], chEnds)
+	})
+	for _, ch := range chunks {
+		if !ch.ok {
+			return false
+		}
+	}
+
+	for _, ch := range chunks[1:] {
+		for i, local := range ch.dicts {
+			if local == nil {
+				continue
+			}
+			global := s.attrs[i].Dict
+			remap := make([]float64, local.Len())
+			for j, v := range local.values {
+				remap[j] = global.Code(v)
+			}
+			for r := ch.row0; r < ch.row0+ch.rows; r++ {
+				cell := &data[r*w+i]
+				*cell = remap[int(*cell)]
+			}
+		}
+	}
+	rel.data, rel.rows = data, rows
+	if ends != nil {
+		*ends = recEnds
+	}
+	return true
+}
+
+// cutChunks cuts body[start:] into k ranges of about equal size, each
+// ending just past a '\n' (the last at len(body)). A range is empty when
+// one line spans its whole share.
+func cutChunks(body []byte, start, k int) []csvChunk {
+	chunks := make([]csvChunk, k)
+	lo := start
+	for c := range chunks {
+		hi := len(body)
+		if c < k-1 {
+			t := max(lo, start+(len(body)-start)*(c+1)/k)
+			if i := bytes.IndexByte(body[t:], '\n'); i >= 0 {
+				hi = t + i + 1
+			}
+		}
+		chunks[c].lo, chunks[c].hi = lo, hi
+		lo = hi
+	}
+	return chunks
+}
+
+// count is pass 1 over the chunk: its non-empty lines and their commas.
+func (ch *csvChunk) count(body []byte) {
+	for off := ch.lo; off < ch.hi; {
+		line := body[off:ch.hi]
 		if i := bytes.IndexByte(line, '\n'); i >= 0 {
 			line = line[:i]
 			off += i + 1
 		} else {
-			off = len(body)
+			off = ch.hi
+		}
+		if len(line) > 0 {
+			ch.rows++
+			ch.commas += bytes.Count(line, []byte{','})
+		}
+	}
+}
+
+// parse is pass 2 over the chunk: it writes its rows' cells into data
+// (len rows × width) and each row's end offset into ends when ends is
+// non-nil, coding nominal cells in ch.dicts. It reports false on the
+// first thing readCSV would not parse the same way.
+func (ch *csvChunk) parse(body []byte, s *Schema, data []float64, ends []int64) bool {
+	w := s.Width()
+	n, r := 0, 0
+	for off := ch.lo; off < ch.hi; {
+		line := body[off:ch.hi]
+		if i := bytes.IndexByte(line, '\n'); i >= 0 {
+			line = line[:i]
+			off += i + 1
+		} else {
+			off = ch.hi
 		}
 		if len(line) == 0 {
 			continue
@@ -115,18 +267,19 @@ func scanRows(rel *Relation, body []byte, start int64, ends *[]int64) bool {
 				cell, line = line[:comma], line[comma+1:]
 			}
 			cell = trimASCIISpace(cell, true, false)
-			if a := &s.attrs[field]; a.Kind == Nominal {
+			if d := ch.dicts[field]; d != nil {
 				if len(cell) > 0 && cell[0] >= utf8.RuneSelf {
 					return false
 				}
-				rel.data = append(rel.data, a.Dict.codeBytes(cell))
+				data[n] = d.codeBytes(cell)
 			} else {
 				v, err := strconv.ParseFloat(string(trimASCIISpace(cell, false, true)), 64)
 				if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 					return false
 				}
-				rel.data = append(rel.data, v)
+				data[n] = v
 			}
+			n++
 			if comma < 0 {
 				if field != w-1 {
 					return false
@@ -134,13 +287,10 @@ func scanRows(rel *Relation, body []byte, start int64, ends *[]int64) bool {
 				break
 			}
 		}
-		rel.rows++
 		if ends != nil {
-			recEnds = append(recEnds, int64(off))
+			ends[r] = int64(off)
 		}
-	}
-	if ends != nil {
-		*ends = recEnds
+		r++
 	}
 	return true
 }

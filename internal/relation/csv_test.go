@@ -142,30 +142,48 @@ func TestReadCSVRejectsNonFinite(t *testing.T) {
 	}
 }
 
-// TestParseCSVPresizeIsBounded: ParseCSV pre-sizes the relation from
-// the body's newline count, so a body of blank lines behind a wide
-// header must not make it allocate more than the body's own size
-// (100 columns × 100K blank lines would otherwise ask for 80 MB).
+// TestParseCSVPresizeIsBounded: ParseCSV sizes the relation from the
+// rows its first pass counts, so neither a body of blank lines behind a
+// wide header nor short rows behind one may make it allocate more than
+// the body's own size (100 columns × 100K lines would otherwise ask for
+// 80 MB). The short rows are rejected before the relation is allocated:
+// their comma count cannot match the header's width. Both bodies run at
+// one to four chunks, the 1 MiB floor on a chunk waived.
 func TestParseCSVPresizeIsBounded(t *testing.T) {
-	var b bytes.Buffer
+	var header bytes.Buffer
 	for i := 0; i < 100; i++ {
 		if i > 0 {
-			b.WriteByte(',')
+			header.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "c%d", i)
+		fmt.Fprintf(&header, "c%d", i)
 	}
-	b.WriteString("\n1")
-	b.WriteString(strings.Repeat(",1", 99))
-	b.WriteString(strings.Repeat("\n", 100_000))
-	body := b.Bytes()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	rel, _, err := ParseCSV(body)
-	runtime.ReadMemStats(&after)
-	if err != nil || rel.Len() != 1 {
-		t.Fatalf("ParseCSV: %d rows, %v", rel.Len(), err)
-	}
-	if got := after.TotalAlloc - before.TotalAlloc; got > uint64(4*len(body)) {
-		t.Errorf("ParseCSV of a %d-byte body allocated %d bytes", len(body), got)
+	header.WriteByte('\n')
+	blank := header.String() + "1" + strings.Repeat(",1", 99) + strings.Repeat("\n", 100_000)
+	short := header.String() + strings.Repeat("1\n", 100_000)
+	for _, c := range []struct {
+		name   string
+		body   []byte
+		reject bool
+	}{
+		{"blank lines", []byte(blank), false},
+		{"one-cell rows", []byte(short), true},
+	} {
+		for k := 1; k <= 4; k++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			var ends []int64
+			rel, err := parseCSV(c.body, &ends, k, 1)
+			runtime.ReadMemStats(&after)
+			if c.reject {
+				if err == nil {
+					t.Fatalf("%s, %d chunks: parsed %d rows", c.name, k, rel.Len())
+				}
+			} else if err != nil || rel.Len() != 1 {
+				t.Fatalf("%s, %d chunks: ParseCSV: %v", c.name, k, err)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > uint64(4*len(c.body)) {
+				t.Errorf("%s, %d chunks: ParseCSV of a %d-byte body allocated %d bytes", c.name, k, len(c.body), got)
+			}
+		}
 	}
 }

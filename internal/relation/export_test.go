@@ -7,3 +7,12 @@ import "bytes"
 func ReadCSVReference(body []byte) (*Relation, error) {
 	return readCSV(bytes.NewReader(body), nil)
 }
+
+// ParseCSVChunks is ParseCSV with its rows cut into k chunks whatever
+// their size: the 1 MiB floor on a chunk is waived, so small bodies
+// exercise the chunked scan and its dictionary merge.
+func ParseCSVChunks(body []byte, k int) (*Relation, []int64, error) {
+	var ends []int64
+	rel, err := parseCSV(body, &ends, k, 1)
+	return rel, ends, err
+}

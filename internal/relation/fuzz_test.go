@@ -67,7 +67,9 @@ func FuzzReadCSV(f *testing.F) {
 // falls back to (readCSV): on every input both sides agree on whether
 // there is an error and on its text, and on success on the schema's
 // names and kinds, every nominal dictionary in code order, every
-// value's bits and the record ends.
+// value's bits and the record ends. The scanner cuts each input into a
+// drawn chunk count of 1 to 8, the 1 MiB floor on a chunk waived, so
+// the chunked passes and the dictionary merge run on small inputs too.
 func FuzzParseCSV(f *testing.F) {
 	for _, seed := range []string{
 		"a,b\n1,2\n",
@@ -97,16 +99,21 @@ func FuzzParseCSV(f *testing.F) {
 		"a:nominal,b\n,1\n \v\f,2",
 		"",
 		"a:bogus\n1\n",
+		"a:nominal,b\nx,1\ny,2\nz,3\ny,4\nw,5\nx,6\n",
+		"a:nominal,b:nominal\np,q\n\nq,p\n\n\np,p\nr,q\n",
 	} {
-		f.Add(seed)
+		for _, k := range []uint8{0, 2, 5} {
+			f.Add(seed, k)
+		}
 	}
-	f.Fuzz(func(t *testing.T, input string) {
+	f.Fuzz(func(t *testing.T, input string, k uint8) {
 		body := []byte(input)
-		got, gotEnds, gotErr := ParseCSV(body)
+		var gotEnds []int64
+		got, gotErr := parseCSV(body, &gotEnds, int(k%8)+1, 1)
 		var wantEnds []int64
 		want, wantErr := readCSV(bytes.NewReader(body), &wantEnds)
 		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
-			t.Fatalf("errors differ: scanner %v, encoding/csv %v\ninput: %q", gotErr, wantErr, input)
+			t.Fatalf("errors differ: scanner %v, encoding/csv %v\ninput: %q, %d chunks", gotErr, wantErr, input, k%8+1)
 		}
 		if gotErr != nil {
 			return

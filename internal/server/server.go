@@ -247,16 +247,12 @@ func (s *Server) writeError(w http.ResponseWriter, status int, format string, ar
 	json.NewEncoder(w).Encode(errorResponse{Error: fmt.Sprintf(format, args...)}) //nolint:errcheck
 }
 
-// readBody reads a size-limited request body, mapping overruns to 413.
+// readBody reads a size-limited request body (ReadBody), answering
+// overruns 413 and other failures 400.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	body, status, err := ReadBody(w, r, limit)
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
-		} else {
-			s.writeError(w, http.StatusBadRequest, "reading request body: %v", err)
-		}
+		s.writeError(w, status, "%v", err)
 		return nil, false
 	}
 	return body, true
@@ -276,9 +272,12 @@ func (s *Server) pathName(w http.ResponseWriter, r *http.Request) (string, bool)
 // options in the query string (d0, d0s, memory, workers, groups) and the
 // CSV body, which errors call what. ?d0s= pins one threshold per group
 // and overrides d0; otherwise d0=0 derives per-group thresholds from the
-// data, exactly like the CLI. On failure it has written the error
-// response and returns ok=false.
-func (s *Server) parseIngest(w http.ResponseWriter, r *http.Request, what string) (rel *relation.Relation, part *relation.Partitioning, opt core.Options, ok bool) {
+// data, exactly like the CLI. With wide set, the body parses and the
+// thresholds derive at the Phase I width, otherwise on one core (see
+// DESIGN.md §14 for why the shard endpoint stays narrow); no result
+// byte depends on it. On failure it has written the error response and
+// returns ok=false.
+func (s *Server) parseIngest(w http.ResponseWriter, r *http.Request, what string, wide bool) (rel *relation.Relation, part *relation.Partitioning, opt core.Options, ok bool) {
 	q := r.URL.Query()
 	var d0 float64
 	var memory int
@@ -323,7 +322,11 @@ func (s *Server) parseIngest(w http.ResponseWriter, r *http.Request, what string
 	if !ok {
 		return nil, nil, opt, false
 	}
-	rel, _, err = relation.ParseCSV(body)
+	width := 1
+	if wide {
+		width = workers
+	}
+	rel, _, err = relation.ParseCSV(body, width)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "parsing CSV %s: %v", what, err)
 		return nil, nil, opt, false
@@ -342,7 +345,7 @@ func (s *Server) parseIngest(w http.ResponseWriter, r *http.Request, what string
 	case pinned != nil:
 		opt.DiameterThresholds = pinned
 	case d0 == 0:
-		suggested, err := core.SuggestThresholds(rel, part, core.AdvisorOptions{})
+		suggested, err := core.SuggestThresholds(rel, part, core.AdvisorOptions{Workers: width})
 		if err != nil {
 			s.writeError(w, http.StatusBadRequest, "deriving thresholds: %v", err)
 			return nil, nil, opt, false
@@ -363,7 +366,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "ingest needs ?name= matching %s", summaryName)
 		return
 	}
-	rel, part, opt, ok := s.parseIngest(w, r, "relation")
+	rel, part, opt, ok := s.parseIngest(w, r, "relation", true)
 	if !ok {
 		return
 	}

@@ -762,7 +762,7 @@ func TestIngestWorkersClamped(t *testing.T) {
 
 	req := httptest.NewRequest(http.MethodPost, "/v1/ingest?name=wide&d0=1&workers=1000000", bytes.NewReader(body))
 	rec := httptest.NewRecorder()
-	_, _, opt, ok := srv.parseIngest(rec, req, "relation")
+	_, _, opt, ok := srv.parseIngest(rec, req, "relation", true)
 	if !ok {
 		t.Fatalf("parseIngest: status %d: %s", rec.Code, rec.Body)
 	}
