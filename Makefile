@@ -67,9 +67,9 @@ lintbudget: darlint
 # Workers count must equal the one-lane scan's. The steps before Phase
 # I fan out too and are raced the same way: the threshold advisor must
 # give bit-identical thresholds (and the same overflow error) at every
-# Workers count, and the chunked CSV scan the one-chunk scan's values,
-# record ends and dictionary codes at 1 to 8 chunks. race alone checks
-# only the runner's own core count.
+# Workers count and over its sampled rows alone, and the chunked CSV
+# scan the one-chunk scan's values, record ends and dictionary codes at
+# 1 to 8 chunks. race alone checks only the runner's own core count.
 lanediff:
 	$(GO) test -race -cpu 1,2,4 -run 'TestLanesMatchSerial|TestLaneGoroutines|TestParallelPhaseIMatchesSerial|TestPipelineSteadyStateAllocs|TestStripeAssignment|TestSuggestThresholdsWorkersMatchSerial' ./internal/core
 	$(GO) test -race -cpu 1,2,4 -run 'TestParseCSVChunksMatchSerial' ./internal/relation
@@ -89,9 +89,13 @@ fuzz:
 # A short .acfsum decoder fuzz under the race detector, cheap enough to
 # gate every CI run: Decode must never panic on hostile bytes, and
 # whatever it accepts must re-encode canonically. The shard-plan fuzz
-# checks that darc's byte-range shards parse back to the body's rows;
-# the refinement fuzz pins cftree.Refine to its full-rescan reference;
-# the insert fuzz pins the batched insert kernel (InsertFlatBatch) to its
+# checks that darc's byte-range shards parse back to the body's rows,
+# that on a body ParseCSV accepts darc's sampled plan (SampleCSV) has
+# ParseCSV's record ends and the advisor's rows of its relation, and
+# that a body ParseCSV rejects is rejected by the sampled plan or by the
+# parse of one of its shards, so validation left to the workers never
+# vanishes; the refinement fuzz pins cftree.Refine to its full-rescan
+# reference; the insert fuzz pins the batched insert kernel (InsertFlatBatch) to its
 # per-tuple reference over random shapes, budgets and chunkings; the CSV
 # fuzz pins ParseCSV's byte scanner to the encoding/csv loop; the render
 # fuzz pins WriteJSON's hand-written writer and the description

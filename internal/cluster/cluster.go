@@ -6,13 +6,15 @@
 // to a worker's stateless POST /v1/ingest/shard endpoint, which runs
 // Phase I and streams the encoded .acfsum artifact back without
 // touching the worker's catalog. The coordinator derives the per-group
-// diameter thresholds ONCE over the whole relation and pins the same
-// vector on every shard request (?d0s=), then folds the artifacts in
-// shard-index order with summary.MergeAll — so the merged summary is
-// byte-identical no matter how many workers ran, which worker ran
-// which shard, or how often a shard was retried. The differential
-// tests in this package pin that across 1/2/4 workers, three seeds and
-// a kill-mid-ingest requeue run.
+// diameter thresholds ONCE for the whole relation, parsing only the
+// rows the threshold advisor samples (each other row is parsed once,
+// by the worker that mines it, and a worker's 400 aborts the ingest),
+// and pins the same vector on every shard request (?d0s=), then folds
+// the artifacts in shard-index order with summary.MergeAll — so the
+// merged summary is byte-identical no matter how many workers ran,
+// which worker ran which shard, or how often a shard was retried. The
+// differential tests in this package pin that across 1/2/4 workers,
+// three seeds and a kill-mid-ingest requeue run.
 //
 // Robustness is first-class: every shard attempt runs under a timeout,
 // a failed attempt marks its worker down and requeues the shard onto a

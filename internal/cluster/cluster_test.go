@@ -12,6 +12,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -550,12 +551,14 @@ func TestBackoffBoundsAndSeed(t *testing.T) {
 
 // TestReplicationAndFanout: with Replicate on, the merged artifact
 // lands on every worker, the coordinator serves local queries, and a
-// summary present only on workers is served by fan-out.
+// summary present only on workers is served by fan-out, whose query
+// body darc bounds as dard does: past MaxQueryBytes it answers 413.
 func TestReplicationAndFanout(t *testing.T) {
 	w1srv, w1 := newDard(t)
 	w2srv, w2 := newDard(t)
 	coord, _ := newCoordinator(t, []string{w1.URL, w2.URL}, func(cfg *Config) {
 		cfg.Replicate = true
+		cfg.MaxQueryBytes = 1 << 10
 	})
 	csv := testCSV(5, 120)
 	rep, err := coord.IngestCSV(context.Background(), "repl", csv,
@@ -596,6 +599,9 @@ func TestReplicationAndFanout(t *testing.T) {
 	}
 	if coord.Metrics().FanoutQueries.Load() == 0 {
 		t.Error("FanoutQueries not counted")
+	}
+	if resp, payload := postQuery(t, h, "remote", `{"topK": 1}`+strings.Repeat(" ", 1<<10)); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized fan-out query body: status %d, want 413: %s", resp.StatusCode, payload)
 	}
 
 	// Unknown everywhere → 404 after visiting the replicas.
@@ -718,5 +724,95 @@ func TestProbeRecovery(t *testing.T) {
 	if m.WorkerMarkdowns.Load() != 1 || m.WorkerMarkups.Load() != 1 {
 		t.Errorf("markdowns/markups = %d/%d, want 1/1",
 			m.WorkerMarkdowns.Load(), m.WorkerMarkups.Load())
+	}
+}
+
+// badCellCSV is testCSV with row's Spend cell (an interval) set to
+// cell.
+func badCellCSV(seed int64, rows, row int, cell string) []byte {
+	lines := strings.SplitAfter(string(testCSV(seed, rows)), "\n")
+	fields := strings.Split(lines[row+1], ",")
+	fields[3] = cell + "\n"
+	lines[row+1] = strings.Join(fields, ",")
+	return []byte(strings.Join(lines, ""))
+}
+
+// outsideSample returns the last row below below of an n-row body that
+// the advisor does not sample, so darc's plan never parses it; n must
+// exceed the advisor's sample size.
+func outsideSample(n, below int) int {
+	picked := core.AdvisorRows(n, core.AdvisorOptions{})
+	for r := below - 1; ; r-- {
+		if !slices.Contains(picked, r) {
+			return r
+		}
+	}
+}
+
+// TestClusterIngestRejections: darc parses only the advisor's sample of
+// a cluster ingest body, so a bad body is rejected either by darc's
+// plan (its header, a row's field count, a sampled row, the advisor,
+// the groups spec) or by the worker that parses the bad row. Either
+// way POST /v1/cluster/ingest answers 400, nothing is installed on darc
+// or either worker, no shard is retried and the ingest counts as
+// failed. A row outside the sample is named by the worker and shard
+// that rejected it; a sampled one by its line in the body.
+func TestClusterIngestRejections(t *testing.T) {
+	const rows, shards = 1000, 4
+	w1srv, w1 := newDard(t)
+	w2srv, w2 := newDard(t)
+	coord, _ := newCoordinator(t, []string{w1.URL, w2.URL}, nil)
+	sampled := core.AdvisorRows(rows, core.AdvisorOptions{})[100]
+	per := rows / shards
+	outside, nanRow := outsideSample(rows, rows), outsideSample(rows, rows-per)
+	short := outsideSample(rows, per+per/2) // darc's line scan, not a worker, must catch its field count
+	quoted := strings.Replace(string(badCellCSV(3, 40, 10, "y")), "urban", `"urban"`, 1)
+	for _, tc := range []struct {
+		name, groups string
+		body         []byte
+		want         []string // substrings of the error
+	}{
+		{"header", "", []byte("A:interval,B:bogus\n1,2\n3,4\n"), []string{"header column 1"}},
+		{"fields", "", badCellCSV(3, rows, short, "1,2"), []string{fmt.Sprintf("line %d", short+2), "wrong number of fields"}},
+		{"sampled", "", badCellCSV(3, rows, sampled, "x"), []string{fmt.Sprintf("line %d", sampled+2), `"Spend"`}},
+		{"outside", "", badCellCSV(3, rows, outside, "x"),
+			[]string{fmt.Sprintf("rejected shard %d", outside/per), `"Spend"`}},
+		{"nan", "", badCellCSV(3, rows, nanRow, "NaN"),
+			[]string{fmt.Sprintf("rejected shard %d", nanRow/per), "non-finite"}},
+		{"quoted", "", []byte(quoted), []string{"line 12", `"Spend"`}},
+		{"one row", "", testCSV(3, 1), []string{"at least 2 tuples"}},
+		{"groups", "Lat+Nope", testCSV(3, rows), []string{"Nope"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			name := strings.ReplaceAll(tc.name, " ", "-")
+			target := fmt.Sprintf("/v1/cluster/ingest?name=%s&shards=%d&groups=%s", name, shards, url.QueryEscape(tc.groups))
+			req := httptest.NewRequest(http.MethodPost, target, bytes.NewReader(tc.body))
+			rec := httptest.NewRecorder()
+			coord.Handler().ServeHTTP(rec, req)
+			var resp struct{ Error string }
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); rec.Code != http.StatusBadRequest || err != nil {
+				t.Fatalf("status %d, want 400 with a JSON error: %s", rec.Code, rec.Body)
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(resp.Error, want) {
+					t.Errorf("error %q does not name %q", resp.Error, want)
+				}
+			}
+			if strings.Contains(resp.Error, "rejected shard") && !strings.Contains(resp.Error, w1.URL) && !strings.Contains(resp.Error, w2.URL) {
+				t.Errorf("error %q names neither worker", resp.Error)
+			}
+			for who, srv := range map[string]*server.Server{"darc": coord.Local(), "worker 1": w1srv, "worker 2": w2srv} {
+				if n := srv.MetricsSnapshot()["catalog_summaries"]; n != 0 {
+					t.Errorf("%s holds %d summaries after a rejected ingest", who, n)
+				}
+			}
+		})
+	}
+	m := coord.Metrics()
+	if got := m.ShardsRetried.Load(); got != 0 {
+		t.Errorf("ShardsRetried = %d, want 0 (a rejected body is never retried)", got)
+	}
+	if got := m.IngestFailures.Load(); got != 8 {
+		t.Errorf("IngestFailures = %d, want 8", got)
 	}
 }

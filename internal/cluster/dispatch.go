@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/relation"
 	"repro/internal/summary"
 	"repro/pkg/client"
 )
@@ -70,28 +68,9 @@ func (c *Coordinator) IngestCSV(ctx context.Context, name string, csv []byte, op
 }
 
 func (c *Coordinator) ingest(ctx context.Context, name string, csv []byte, opt client.IngestOptions) (IngestReport, error) {
-	// The plan parses and derives thresholds on one core, whatever the
-	// request's Phase I width: darc's query handlers share the host
-	// (DESIGN.md §14).
-	rel, ends, err := relation.ParseCSV(csv, 1)
+	ends, opt, err := planIngest(csv, opt)
 	if err != nil {
-		return IngestReport{}, fmt.Errorf("%w: parsing CSV relation: %w", errBadIngest, err)
-	}
-	part, err := relation.ParseGroupsSpec(rel.Schema(), opt.Groups)
-	if err != nil {
-		return IngestReport{}, fmt.Errorf("%w: %w", errBadIngest, err)
-	}
-	// Pin the per-group thresholds once, over the whole relation —
-	// every shard must run under the same vector or the merge's
-	// provenance checks reject the fold. The scalar D0 is left alone
-	// (usually zero): a recorded nominal-group D0 falls back to the
-	// scalar, so forcing it here would diverge from single-node ingest.
-	if opt.D0 == 0 && opt.D0s == nil {
-		d0s, err := core.SuggestThresholds(rel, part, core.AdvisorOptions{})
-		if err != nil {
-			return IngestReport{}, fmt.Errorf("%w: deriving thresholds: %w", errBadIngest, err)
-		}
-		opt.D0s = d0s
+		return IngestReport{}, err
 	}
 	want := opt.Shards
 	if want == 0 {

@@ -139,9 +139,9 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.metrics.FanoutQueries.Add(1)
-	body, _, err := server.ReadBody(w, r, c.cfg.MaxQueryBytes)
+	body, status, err := server.ReadBody(w, r, c.cfg.MaxQueryBytes)
 	if err != nil {
-		c.writeErr(w, http.StatusBadRequest, "query body: %v", err)
+		c.writeErr(w, status, "query body: %v", err)
 		return
 	}
 	for _, wk := range c.candidates(name) {

@@ -1,6 +1,54 @@
 package cluster
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/core"
+	"repro/internal/relation"
+	"repro/pkg/client"
+)
+
+// planIngest reads what dispatch needs from a cluster ingest body
+// without parsing it in full: the record ends planShards cuts at and,
+// when the request pins no thresholds, the per-group thresholds every
+// shard runs under, pinned into the returned options' D0s. Thresholds
+// must never depend on which rows a worker saw, or the merge's
+// provenance checks reject the fold. They come from the advisor's own
+// sample: relation.SampleCSV parses only the rows core.AdvisorRows
+// picks, and SuggestThresholds over those rows alone is bit-identical
+// to SuggestThresholds over the whole relation. The scalar D0 is left
+// alone (usually zero): a recorded nominal-group D0 falls back to the
+// scalar, so forcing it here would diverge from single-node ingest.
+//
+// The rows outside the sample are checked here only for their field
+// count; the worker that mines a row parses it, and its 4xx aborts the
+// ingest. The plan runs on the calling goroutine, whatever the
+// request's Phase I width: darc's query handlers share the host
+// (DESIGN.md §14).
+func planIngest(body []byte, opt client.IngestOptions) ([]int64, client.IngestOptions, error) {
+	derive := opt.D0 == 0 && opt.D0s == nil
+	sample, ends, err := relation.SampleCSV(body, func(rows int) []int {
+		if !derive {
+			return nil
+		}
+		return core.AdvisorRows(rows, core.AdvisorOptions{})
+	})
+	if err != nil {
+		return nil, opt, fmt.Errorf("%w: parsing CSV relation: %w", errBadIngest, err)
+	}
+	part, err := relation.ParseGroupsSpec(sample.Schema(), opt.Groups)
+	if err != nil {
+		return nil, opt, fmt.Errorf("%w: %w", errBadIngest, err)
+	}
+	if derive {
+		d0s, err := core.SuggestThresholds(sample, part, core.AdvisorOptions{})
+		if err != nil {
+			return nil, opt, fmt.Errorf("%w: deriving thresholds: %w", errBadIngest, err)
+		}
+		opt.D0s = d0s
+	}
+	return ends, opt, nil
+}
 
 // planShards splits a CSV body into at most want contiguous row-range
 // shards and cuts each out of the body as-is: the body's header bytes

@@ -81,31 +81,13 @@ func SuggestThresholds(rel relation.Source, part *relation.Partitioning, opt Adv
 		}
 	}
 
-	// Deterministic reservoir sample (fixed seed): unlike a systematic
-	// stride, it cannot alias with periodic patterns in the storage
-	// order (e.g. clusters interleaved row by row).
-	rng := rand.New(rand.NewSource(1))
-	reservoir := make([]int, 0, opt.SampleSize)
-	err := rel.Scan(func(i int, _ []float64) error {
-		if len(reservoir) < opt.SampleSize {
-			reservoir = append(reservoir, i)
-		} else if j := rng.Intn(i + 1); j < opt.SampleSize {
-			reservoir[j] = i
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: advisor index scan: %w", err)
-	}
-	pick := make(map[int]bool, len(reservoir))
-	for _, i := range reservoir {
-		pick[i] = true
-	}
+	rows := AdvisorRows(n, opt)
 	samples := make([][][]float64, groups) // samples[g][i] = projection
-	err = rel.Scan(func(i int, tuple []float64) error {
-		if !pick[i] {
+	err := rel.Scan(func(i int, tuple []float64) error {
+		if len(rows) == 0 || rows[0] != i {
 			return nil
 		}
+		rows = rows[1:]
 		for g := 0; g < groups; g++ {
 			p := make([]float64, part.Group(g).Dims())
 			part.Project(g, tuple, p)
@@ -133,6 +115,30 @@ func SuggestThresholds(rel relation.Source, part *relation.Partitioning, opt Adv
 		}
 	}
 	return out, nil
+}
+
+// AdvisorRows returns the rows, in ascending order, that
+// SuggestThresholds samples from a relation of n rows under opt: a
+// deterministic reservoir sample (fixed seed) of opt.SampleSize rows.
+// Unlike a systematic stride, it cannot alias with periodic patterns in
+// the storage order (e.g. clusters interleaved row by row). The rows
+// depend only on n, so a caller can parse just these rows of a body it
+// has not parsed; over a relation of at most SampleSize rows the
+// advisor samples every row in order, so SuggestThresholds over the
+// AdvisorRows rows alone gives the same thresholds, bit for bit.
+func AdvisorRows(n int, opt AdvisorOptions) []int {
+	opt = opt.withDefaults()
+	rng := rand.New(rand.NewSource(1))
+	reservoir := make([]int, 0, min(n, opt.SampleSize))
+	for i := 0; i < n; i++ {
+		if len(reservoir) < opt.SampleSize {
+			reservoir = append(reservoir, i)
+		} else if j := rng.Intn(i + 1); j < opt.SampleSize {
+			reservoir[j] = i
+		}
+	}
+	sort.Ints(reservoir)
+	return reservoir
 }
 
 // suggestFromSample derives d0 from one group's sample via the

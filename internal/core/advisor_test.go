@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -131,6 +132,10 @@ func TestSuggestFromSampleUnimodal(t *testing.T) {
 // group's threshold as its own task, so at Workers 1, 2 and 4 the
 // thresholds must be bit-identical, and a relation whose second and
 // third groups overflow must fail naming the second at every count.
+// The advisor's sample is AdvisorRows' rows, so SuggestThresholds over
+// only those rows (what darc parses of a cluster ingest body) must give
+// the same bits and the same error too, at row counts on both sides of
+// the sample size and over a multi-attribute group.
 func TestSuggestThresholdsWorkersMatchSerial(t *testing.T) {
 	cfg := datagen.DefaultWBCDConfig()
 	cfg.Tuples = 2000
@@ -146,32 +151,78 @@ func TestSuggestThresholdsWorkersMatchSerial(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		overflow.MustAppend([]float64{float64(i % 17), 1e200 * float64(i%2*2-1), 1e300 * float64(i%3), float64(i)})
 	}
-	for _, ds := range []struct {
-		name string
-		rel  *relation.Relation
-	}{
-		{"wbcd", wbcd},
-		{"mixedNominal", mixedNominalRelation(rand.New(rand.NewSource(93)), 600)},
-		{"overflow", overflow},
-	} {
-		part := relation.SingletonPartitioning(ds.rel.Schema())
+	geo := relation.NewRelation(relation.MustSchema(
+		relation.Attribute{Name: "Segment", Kind: relation.Nominal},
+		relation.Attribute{Name: "Lat"}, relation.Attribute{Name: "Lon"}, relation.Attribute{Name: "Spend"},
+	))
+	rng := rand.New(rand.NewSource(94))
+	for i := 0; i < 700; i++ {
+		seg := geo.Schema().Attr(0).Dict.Code([]string{"urban", "suburb", "rural"}[rng.Intn(3)])
+		geo.MustAppend([]float64{seg, 40 + rng.Float64()*2, -75 + rng.Float64()*2, 20 + rng.Float64()*80})
+	}
+	prefix := func(rel *relation.Relation, n int) *relation.Relation {
+		idx := make([]int, n)
+		for i := range idx {
+			idx[i] = i
+		}
+		return rowsOf(rel, idx)
+	}
+	type dataset struct {
+		name   string
+		rel    *relation.Relation
+		groups string
+	}
+	sets := []dataset{
+		{"wbcd", wbcd, ""},
+		{"mixedNominal", mixedNominalRelation(rand.New(rand.NewSource(93)), 600), ""},
+		{"geo", geo, "Lat+Lon"},
+		{"overflow", overflow, ""},
+	}
+	for _, n := range []int{2, 199, 200, 201} {
+		sets = append(sets, dataset{fmt.Sprintf("wbcd/%d", n), prefix(wbcd, n), ""})
+	}
+	for _, ds := range sets {
+		part, err := relation.ParseGroupsSpec(ds.rel.Schema(), ds.groups)
+		if err != nil {
+			t.Fatalf("%s: %v", ds.name, err)
+		}
 		want, wantErr := SuggestThresholds(ds.rel, part, AdvisorOptions{Workers: 1})
-		for _, workers := range []int{2, 4} {
-			got, err := SuggestThresholds(ds.rel, part, AdvisorOptions{Workers: workers})
+		check := func(how string, got []float64, err error) {
+			t.Helper()
 			if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
-				t.Fatalf("%s, Workers=%d: error %v, want %v", ds.name, workers, err, wantErr)
+				t.Fatalf("%s, %s: error %v, want %v", ds.name, how, err, wantErr)
 			}
 			if len(got) != len(want) {
-				t.Fatalf("%s, Workers=%d: %d thresholds, want %d", ds.name, workers, len(got), len(want))
+				t.Fatalf("%s, %s: %d thresholds, want %d", ds.name, how, len(got), len(want))
 			}
 			for g := range want {
 				if math.Float64bits(got[g]) != math.Float64bits(want[g]) {
-					t.Errorf("%s, Workers=%d: group %d d0 %v, want %v", ds.name, workers, g, got[g], want[g])
+					t.Errorf("%s, %s: group %d d0 %v, want %v", ds.name, how, g, got[g], want[g])
 				}
 			}
 		}
+		for _, workers := range []int{2, 4} {
+			got, err := SuggestThresholds(ds.rel, part, AdvisorOptions{Workers: workers})
+			check(fmt.Sprintf("Workers=%d", workers), got, err)
+		}
+		rows := AdvisorRows(ds.rel.Len(), AdvisorOptions{})
+		if len(rows) != min(ds.rel.Len(), 200) {
+			t.Errorf("%s: AdvisorRows picked %d of %d rows", ds.name, len(rows), ds.rel.Len())
+		}
+		got, err := SuggestThresholds(rowsOf(ds.rel, rows), part, AdvisorOptions{Workers: 1})
+		check("sampled rows only", got, err)
 		if ds.name == "overflow" && (wantErr == nil || !strings.Contains(wantErr.Error(), `group "b"`)) {
 			t.Errorf("overflow: error %v, want one naming group \"b\"", wantErr)
 		}
 	}
+}
+
+// rowsOf returns the given rows of rel, in that order, as a relation
+// over rel's schema.
+func rowsOf(rel *relation.Relation, rows []int) *relation.Relation {
+	out := relation.NewRelation(rel.Schema())
+	for _, r := range rows {
+		out.MustAppend(rel.Tuple(r))
+	}
+	return out
 }

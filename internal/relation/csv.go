@@ -74,17 +74,14 @@ const chunkBytes = 1 << 20
 // and cuts min(width, ⌈row bytes / minChunk⌉) chunks. Tests pass
 // minChunk 1 to cut even a small body into width chunks.
 func parseCSV(body []byte, ends *[]int64, width, minChunk int) (*Relation, error) {
-	if bytes.IndexByte(body, '"') >= 0 || bytes.IndexByte(body, '\r') >= 0 {
-		return readCSV(bytes.NewReader(body), ends)
-	}
-	cr := csv.NewReader(bytes.NewReader(body))
-	cr.TrimLeadingSpace = true
-	schema, err := readHeader(cr)
+	schema, start, err := plainHeader(body)
 	if err != nil {
 		return nil, err
 	}
+	if schema == nil {
+		return readCSV(bytes.NewReader(body), ends)
+	}
 	rel := NewRelation(schema)
-	start := int(cr.InputOffset())
 	k := max(1, min(width, (len(body)-start+minChunk-1)/minChunk))
 	if !scanRows(rel, body, start, ends, k) {
 		return readCSV(bytes.NewReader(body), ends)
@@ -92,18 +89,90 @@ func parseCSV(body []byte, ends *[]int64, width, minChunk int) (*Relation, error
 	return rel, nil
 }
 
+// plainHeader reads the header of a body the byte scanner can take and
+// returns its schema and the offset where the rows start. A body with a
+// '"' or '\r' anywhere is left to the encoding/csv loop: plainHeader
+// then returns a nil schema and a nil error.
+func plainHeader(body []byte) (*Schema, int, error) {
+	if bytes.IndexByte(body, '"') >= 0 || bytes.IndexByte(body, '\r') >= 0 {
+		return nil, 0, nil
+	}
+	cr := csv.NewReader(bytes.NewReader(body))
+	cr.TrimLeadingSpace = true
+	schema, err := readHeader(cr)
+	if err != nil {
+		return nil, 0, err
+	}
+	return schema, int(cr.InputOffset()), nil
+}
+
+// SampleCSV reads from body what a row-range shard plan needs without
+// parsing every row: the schema, the record ends exactly as ParseCSV
+// reports them, and the rows pick(rows) names, parsed into a relation
+// over that schema. pick gets the body's row count and returns
+// ascending row indices below it. Every other row is checked only for
+// its field count; its cells are left to whoever parses its shard.
+//
+// The line scan takes a body the byte scanner would take: no '"' or
+// '\r', every row with the header's field count, and picked rows the
+// scanner parses. Anything else, a picked row with a bad cell included,
+// is parsed in full by ParseCSV at width 1 and the picked rows are
+// copied out of that relation, so a rejected body fails with
+// ParseCSV's error, naming its line.
+func SampleCSV(body []byte, pick func(rows int) []int) (*Relation, []int64, error) {
+	if sample, ends := sampleRows(body, pick); sample != nil {
+		return sample, ends, nil
+	}
+	rel, ends, err := ParseCSV(body, 1)
+	if err != nil {
+		return nil, nil, err
+	}
+	sample := NewRelation(rel.Schema())
+	for _, r := range pick(rel.Len()) {
+		sample.MustAppend(rel.Tuple(r))
+	}
+	return sample, ends, nil
+}
+
+// sampleRows is SampleCSV's line scan. It returns a nil relation where
+// SampleCSV must parse the whole body instead. Nominal cells of the
+// picked rows are coded in first-seen order over the picked rows.
+func sampleRows(body []byte, pick func(rows int) []int) (*Relation, []int64) {
+	schema, start, _ := plainHeader(body) // SampleCSV's ParseCSV reports a bad header
+	if schema == nil {
+		return nil, nil
+	}
+	w := schema.Width()
+	all := csvChunk{lo: start, hi: len(body)}
+	if !all.count(body, w-1) {
+		return nil, nil
+	}
+	ends := make([]int64, all.rows+1)
+	ends[0] = int64(start)
+	all.recordEnds(body, ends[1:])
+	rows := pick(all.rows)
+	data := make([]float64, len(rows)*w)
+	dicts := schema.dicts()
+	for j, r := range rows {
+		row := csvChunk{lo: int(ends[r]), hi: int(ends[r+1]), dicts: dicts}
+		if !row.parse(body, schema, data[j*w:(j+1)*w], nil) {
+			return nil, nil
+		}
+	}
+	return &Relation{schema: schema, data: data, rows: len(rows)}, ends
+}
+
 // csvChunk is one range of scanRows' row region, body[lo:hi]; lo is the
 // start of a line.
 type csvChunk struct {
 	lo, hi int
 	rows   int // non-empty lines, counted by pass 1
-	commas int // ',' bytes on them
 	row0   int // rows in the chunks before this one
 	// dicts holds the chunk's nominal dictionaries, indexed by
 	// attribute: the schema's own for the first chunk, chunk-local ones
 	// for the others, which the merge folds into the schema's.
 	dicts []*Dictionary
-	ok    bool // pass 2 accepted every row
+	ok    bool // the last pass accepted every row
 }
 
 // scanRows parses the rows of body, which start at offset start, into
@@ -118,12 +187,12 @@ type csvChunk struct {
 // passes, each one goroutine per chunk through parallel.For (k = 1 runs
 // both on the caller):
 //
-//  1. Count each chunk's non-empty lines and ',' bytes. An accepted row
-//     has exactly width−1 commas, so a chunk whose count differs from
-//     rows × (width−1) holds a row with the wrong field count, and the
-//     body falls back before the relation is allocated. Blank lines
-//     thus cost no backing, and short rows behind a wide header commit
-//     none ahead of their rejection.
+//  1. Count each chunk's non-empty lines and check each one's ','
+//     bytes. An accepted row has exactly width−1 commas, so a line with
+//     any other count has the wrong field count, and the body falls
+//     back before the relation is allocated. Blank lines thus cost no
+//     backing, and short rows behind a wide header commit none ahead of
+//     their rejection.
 //  2. Allocate the relation's backing and the record ends at exactly
 //     the counted size and parse each chunk into its own slice of both.
 //     The first chunk codes nominal cells in the schema's dictionaries;
@@ -138,11 +207,11 @@ func scanRows(rel *Relation, body []byte, start int, ends *[]int64, k int) bool 
 	s := rel.schema
 	w := s.Width()
 	chunks := cutChunks(body, start, k)
-	parallel.For(k, k, func(c int) { chunks[c].count(body) })
+	parallel.For(k, k, func(c int) { chunks[c].ok = chunks[c].count(body, w-1) })
 	rows := 0
 	for c := range chunks {
 		ch := &chunks[c]
-		if ch.commas != ch.rows*(w-1) {
+		if !ch.ok {
 			return false
 		}
 		ch.row0 = rows
@@ -157,14 +226,10 @@ func scanRows(rel *Relation, body []byte, start int, ends *[]int64, k int) bool 
 	}
 	parallel.For(k, k, func(c int) {
 		ch := &chunks[c]
-		ch.dicts = make([]*Dictionary, w)
-		for i := range s.attrs {
-			if a := &s.attrs[i]; a.Kind == Nominal {
-				if c == 0 {
-					ch.dicts[i] = a.Dict
-				} else {
-					ch.dicts[i] = NewDictionary()
-				}
+		ch.dicts = s.dicts()
+		for i, d := range ch.dicts {
+			if d != nil && c > 0 {
+				ch.dicts[i] = NewDictionary()
 			}
 		}
 		var chEnds []int64
@@ -222,21 +287,45 @@ func cutChunks(body []byte, start, k int) []csvChunk {
 	return chunks
 }
 
-// count is pass 1 over the chunk: its non-empty lines and their commas.
-func (ch *csvChunk) count(body []byte) {
+// count is pass 1 over the chunk: it counts the non-empty lines and
+// reports whether each has exactly commas ',' bytes, stopping at the
+// first that does not.
+func (ch *csvChunk) count(body []byte, commas int) bool {
 	for off := ch.lo; off < ch.hi; {
-		line := body[off:ch.hi]
-		if i := bytes.IndexByte(line, '\n'); i >= 0 {
-			line = line[:i]
-			off += i + 1
-		} else {
-			off = ch.hi
-		}
+		var line []byte
+		line, off = nextLine(body, off, ch.hi)
 		if len(line) > 0 {
+			if bytes.Count(line, []byte{','}) != commas {
+				return false
+			}
 			ch.rows++
-			ch.commas += bytes.Count(line, []byte{','})
 		}
 	}
+	return true
+}
+
+// recordEnds writes the end offset of each of the chunk's non-empty
+// lines into ends (len ch.rows), as parse does.
+func (ch *csvChunk) recordEnds(body []byte, ends []int64) {
+	r := 0
+	for off := ch.lo; off < ch.hi; {
+		var line []byte
+		line, off = nextLine(body, off, ch.hi)
+		if len(line) > 0 {
+			ends[r] = int64(off)
+			r++
+		}
+	}
+}
+
+// nextLine returns the line of body[off:hi] that starts at off, without
+// its '\n', and the offset just past it.
+func nextLine(body []byte, off, hi int) ([]byte, int) {
+	line := body[off:hi]
+	if i := bytes.IndexByte(line, '\n'); i >= 0 {
+		return line[:i], off + i + 1
+	}
+	return line, hi
 }
 
 // parse is pass 2 over the chunk: it writes its rows' cells into data
@@ -247,13 +336,8 @@ func (ch *csvChunk) parse(body []byte, s *Schema, data []float64, ends []int64) 
 	w := s.Width()
 	n, r := 0, 0
 	for off := ch.lo; off < ch.hi; {
-		line := body[off:ch.hi]
-		if i := bytes.IndexByte(line, '\n'); i >= 0 {
-			line = line[:i]
-			off += i + 1
-		} else {
-			off = ch.hi
-		}
+		var line []byte
+		line, off = nextLine(body, off, ch.hi)
 		if len(line) == 0 {
 			continue
 		}

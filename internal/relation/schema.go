@@ -108,6 +108,18 @@ func NewSchema(attrs ...Attribute) (*Schema, error) {
 	return s, nil
 }
 
+// dicts returns each attribute's dictionary, indexed by attribute: nil
+// for the numeric ones.
+func (s *Schema) dicts() []*Dictionary {
+	out := make([]*Dictionary, len(s.attrs))
+	for i, a := range s.attrs {
+		if a.Kind == Nominal {
+			out[i] = a.Dict
+		}
+	}
+	return out
+}
+
 // MustSchema is NewSchema that panics on error; intended for tests,
 // examples, and statically known schemas.
 func MustSchema(attrs ...Attribute) *Schema {

@@ -11,12 +11,21 @@
 # field, cluster_shards_requeued_total / cluster_worker_markdowns_total
 # on /metrics, and /v1/cluster/workers health rows.
 #
+# Both acts leave the thresholds to darc, which derives them from the
+# advisor's sample of the body and pins them on every shard request, a
+# requeued one included.
+#
 # Act 2 (determinism): rerun the identical ingest (-shards pinned to 4)
 # against a fresh coordinator with a fully healthy pool. The cluster
 # determinism contract (DESIGN.md §14) demands the merged .acfsum
 # artifact and the served query JSON be byte-identical between the two
 # acts: worker death, retries and requeues must never leak into the
-# mined output. Run via `make clustersmoke`.
+# mined output. An ingest pinned to the thresholds `darminer ingest`
+# derives over the whole dataset must give the same artifact again, so
+# the shard act 1 requeued ran under darc's derived thresholds and they
+# are the whole relation's. Last, the dataset with one interval cell
+# replaced by `x` must be answered 400 and leave no artifact anywhere.
+# Run via `make clustersmoke`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 . scripts/smoke_lib.sh
@@ -62,11 +71,11 @@ start_darc() {
     printf -v "DARC${n}_ADDR" '%s' "$ADDR"
 }
 
-# cluster_ingest <coordinator-addr> <out>: shard the golden dataset
-# across the pool.
+# cluster_ingest <coordinator-addr> <out> [<query>]: shard the golden
+# dataset across the pool, with any extra query parameters.
 cluster_ingest() {
     curl -sfS -X POST --data-binary @"$DATASET" \
-        "http://$1/v1/cluster/ingest?name=smoke&d0=5" >"$2"
+        "http://$1/v1/cluster/ingest?name=smoke${3:-}" >"$2"
     grep -q '"shards": 4' "$2" || { echo "unexpected cluster ingest ack:"; cat "$2"; exit 1; }
 }
 
@@ -131,8 +140,27 @@ if ! diff -u "$TMP/query1.stripped" "$TMP/query2.stripped"; then
     exit 1
 fi
 
+echo "== [act 2] an ingest pinned to the whole dataset's thresholds must match act 1"
+D0S=$("$TMP/darminer" ingest -o "$TMP/local.acfsum" "$DATASET" |
+    sed -n 's/^derived d0 per attribute: \[\(.*\)\]$/\1/p' | tr ' ' ',' | sed 's/+/%2B/g')
+[ -n "$D0S" ] || { echo "FAIL: darminer ingest derived no thresholds"; exit 1; }
+cluster_ingest "$DARC2_ADDR" "$TMP/ingest3.json" "&d0s=$D0S"
+if ! cmp "$TMP/artifact1.acfsum" "$TMP/darc2/smoke.acfsum"; then
+    echo "FAIL: the requeued ingest's thresholds differ from the whole dataset's ($D0S)"
+    exit 1
+fi
+
+echo "== [act 2] a body with a non-numeric interval cell must be rejected with 400"
+sed '2s/^[^,]*/x/' "$DATASET" >"$TMP/bad.csv"
+STATUS=$(curl -sS -o "$TMP/bad.json" -w '%{http_code}' -X POST --data-binary @"$TMP/bad.csv" \
+    "http://$DARC2_ADDR/v1/cluster/ingest?name=bad")
+[ "$STATUS" = 400 ] || { echo "FAIL: bad body answered $STATUS, want 400:"; cat "$TMP/bad.json"; exit 1; }
+for dir in "$TMP/darc2" "$TMP/worker3" "$TMP/worker4"; do
+    [ ! -e "$dir/bad.acfsum" ] || { echo "FAIL: the rejected ingest left $dir/bad.acfsum"; exit 1; }
+done
+
 stop_daemon "$DARC2_PID" "$TMP/darc2.log"
 stop_daemon "$W3_PID" "$TMP/worker3.log"
 stop_daemon "$W4_PID" "$TMP/worker4.log"
 
-echo "PASS: cluster smoke (requeue after worker death, bit-identical artifact and query across runs)"
+echo "PASS: cluster smoke (requeue after worker death under darc's derived thresholds, bit-identical artifact and query across runs, bad body rejected)"
