@@ -121,13 +121,17 @@ fuzzsmoke:
 # the base rule set, bit for bit, across worker counts, merged shards,
 # incremental snapshots, the HTTP endpoints and both CLI paths; answers
 # served over a memoized base must equal a fresh QuerySummary, also
-# while a writer re-ingests. Rendering: WriteJSON and the description
-# formatter must equal their encoding/json and fmt references, byte for
-# byte, on every mode's answer over the salary, kitchen-sink and WBCD
-# data.
+# while a writer re-ingests and while the cache evicts bases. Rendering:
+# WriteJSON and the description formatter must equal their
+# encoding/json and fmt references, byte for byte, on every mode's
+# answer over the salary, kitchen-sink and WBCD data, and so must the
+# base's frame around the answer's body, as dard serves it. Cache: a
+# cached answer holds its own body, not its frame; the recency list
+# evicts what the old scan did; and what the cache holds, each frame
+# once, stays inside its budget.
 querydiff:
 	$(GO) test -race -run 'TestQueryIngestMatchesMine|TestQueryNominal|TestIncrementalNominal|TestPostScanNominalDegreesAreExact|TestQueryModes|TestMeasure|TestConviction|TestDiffRules|TestWriteJSONMatchesReference' ./internal/core
-	$(GO) test -race -run 'TestQueryMode|TestServedDiff|TestModeCache|TestDiffCache|TestDiffMetrics|TestMemo|TestOptionBodies' ./internal/server
+	$(GO) test -race -run 'TestQueryMode|TestServedDiff|TestModeCache|TestDiffCache|TestDiffMetrics|TestMemo|TestOptionBodies|TestCache|TestResultCache' ./internal/server
 	$(GO) test -race -run 'TestIngestQueryMatchesMine|TestGoldenQuery|TestOldSummary|TestDiffCLI|TestRemoteDiff' ./cmd/darminer
 
 # perfbench's own tests (a separate module): its output checks answer

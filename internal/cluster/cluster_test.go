@@ -749,6 +749,13 @@ func outsideSample(n, below int) int {
 	}
 }
 
+// shardLineRange is how darc names the body lines of the shard holding
+// row: shards of per rows after a one-line header, row r on line r+2.
+func shardLineRange(row, per int) string {
+	first := row/per*per + 2
+	return fmt.Sprintf("lines %d–%d of the body", first, first+per-1)
+}
+
 // TestClusterIngestRejections: darc parses only the advisor's sample of
 // a cluster ingest body, so a bad body is rejected either by darc's
 // plan (its header, a row's field count, a sampled row, the advisor,
@@ -756,7 +763,8 @@ func outsideSample(n, below int) int {
 // way POST /v1/cluster/ingest answers 400, nothing is installed on darc
 // or either worker, no shard is retried and the ingest counts as
 // failed. A row outside the sample is named by the worker and shard
-// that rejected it; a sampled one by its line in the body.
+// that rejected it and the body lines the shard holds; a sampled one by
+// its line in the body.
 func TestClusterIngestRejections(t *testing.T) {
 	const rows, shards = 1000, 4
 	w1srv, w1 := newDard(t)
@@ -776,9 +784,9 @@ func TestClusterIngestRejections(t *testing.T) {
 		{"fields", "", badCellCSV(3, rows, short, "1,2"), []string{fmt.Sprintf("line %d", short+2), "wrong number of fields"}},
 		{"sampled", "", badCellCSV(3, rows, sampled, "x"), []string{fmt.Sprintf("line %d", sampled+2), `"Spend"`}},
 		{"outside", "", badCellCSV(3, rows, outside, "x"),
-			[]string{fmt.Sprintf("rejected shard %d", outside/per), `"Spend"`}},
+			[]string{fmt.Sprintf("rejected shard %d", outside/per), shardLineRange(outside, per), `"Spend"`}},
 		{"nan", "", badCellCSV(3, rows, nanRow, "NaN"),
-			[]string{fmt.Sprintf("rejected shard %d", nanRow/per), "non-finite"}},
+			[]string{fmt.Sprintf("rejected shard %d", nanRow/per), shardLineRange(nanRow, per), "non-finite"}},
 		{"quoted", "", []byte(quoted), []string{"line 12", `"Spend"`}},
 		{"one row", "", testCSV(3, 1), []string{"at least 2 tuples"}},
 		{"groups", "Lat+Nope", testCSV(3, rows), []string{"Nope"}},

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -83,6 +84,11 @@ func (c *Coordinator) ingest(ctx context.Context, name string, csv []byte, opt c
 	}
 
 	artifacts, retries, err := c.dispatch(ctx, shardCSVs, opt)
+	if rej := (*shardRejection)(nil); errors.As(err, &rej) {
+		first, last := shardLines(csv, ends[0], shardCSVs, rej.shard)
+		return IngestReport{}, fmt.Errorf("%w: worker %s rejected shard %d, lines %d–%d of the body: %w",
+			errBadIngest, rej.worker, rej.shard, first, last, rej.err)
+	}
 	if err != nil {
 		return IngestReport{}, err
 	}
@@ -209,8 +215,7 @@ func (c *Coordinator) dispatch(ctx context.Context, shards [][]byte, opt client.
 			// worker would reject it identically, so abort now.
 			var apiErr *client.APIError
 			if errors.As(ev.err, &apiErr) && apiErr.Status >= 400 && apiErr.Status < 500 {
-				return nil, retries, fmt.Errorf("%w: worker %s rejected shard %d: %w",
-					errBadIngest, ev.worker.base, ev.job.idx, ev.err)
+				return nil, retries, &shardRejection{worker: ev.worker.base, shard: ev.job.idx, err: ev.err}
 			}
 			if ev.worker.setHealthy(false) {
 				c.metrics.WorkerMarkdowns.Add(1)
@@ -256,6 +261,40 @@ func (c *Coordinator) dispatch(ctx context.Context, shards [][]byte, opt client.
 		}
 	}
 	return results, retries, nil
+}
+
+// shardRejection is a worker's 4xx for one shard: the shard's fault,
+// which every worker would repeat, so dispatch aborts on it. The
+// worker's error names a line of the shard; ingest adds where the
+// shard's rows sit in the client's body.
+type shardRejection struct {
+	worker string
+	shard  int
+	err    error
+}
+
+func (e *shardRejection) Error() string {
+	return fmt.Sprintf("worker %s rejected shard %d: %v", e.worker, e.shard, e.err)
+}
+
+// shardLines returns the first and last line of body that shard i's
+// rows fill. The shards are planShards' cuts: each is the header's
+// bytes followed by the next contiguous run of rows, so shard i's rows
+// start where the rows of the shards before it end, and their lines
+// are counted, quoted newlines included. It runs on the error path
+// only.
+func shardLines(body []byte, header int64, shards [][]byte, i int) (first, last int) {
+	start := header
+	for _, s := range shards[:i] {
+		start += int64(len(s)) - header
+	}
+	rows := body[start : start+int64(len(shards[i]))-header]
+	first = 1 + bytes.Count(body[:start], []byte{'\n'})
+	last = first + bytes.Count(rows, []byte{'\n'})
+	if bytes.HasSuffix(rows, []byte{'\n'}) {
+		last--
+	}
+	return first, last
 }
 
 // pickWorker returns the lowest-numbered healthy idle worker, nil if

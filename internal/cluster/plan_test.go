@@ -63,6 +63,36 @@ func TestPlanDeterminism(t *testing.T) {
 	}
 }
 
+// TestShardLines pins the body lines darc names for a rejected shard:
+// each shard's rows from its first line to its last, a quoted newline
+// counted, with and without a final newline.
+func TestShardLines(t *testing.T) {
+	for _, tc := range []struct {
+		body string
+		want [][2]int // per shard of a 2-shard plan
+	}{
+		{"A:interval,B:nominal\n1,x\n2,y\n3,z\n4,w\n", [][2]int{{2, 3}, {4, 5}}},
+		{"A:interval,B:nominal\n1,x\n2,y\n3,z\n4,w", [][2]int{{2, 3}, {4, 5}}},
+		{"A:interval,B:nominal\n1,\"x\ny\"\n2,y\n3,z\n4,w\n", [][2]int{{2, 4}, {5, 6}}},
+		{"A:interval,B:nominal\n1,x\n2,y\n3,\"z\n\nz\"\n4,w\n5,v\n", [][2]int{{2, 6}, {7, 8}}},
+	} {
+		body := []byte(tc.body)
+		_, ends, err := relation.ParseCSV(body, 1)
+		if err != nil {
+			t.Fatalf("%q: %v", tc.body, err)
+		}
+		shards, err := planShards(body, ends, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range tc.want {
+			if first, last := shardLines(body, ends[0], shards, i); first != want[0] || last != want[1] {
+				t.Errorf("%q shard %d: lines %d–%d, want %d–%d", tc.body, i, first, last, want[0], want[1])
+			}
+		}
+	}
+}
+
 // FuzzPlanShards: for any body ParseCSV accepts and any want from 1 to
 // 8, the shards cut from the body parse, in shard order, to the body's
 // own rows — the same schema, interval values bit for bit, nominal

@@ -314,27 +314,26 @@ func frequentClusters(s *summary.Summary, q QueryOptions) (*Result, *ruleEngine)
 }
 
 // WithQueryModes returns a new Result: base with the deterministic
-// post-processing pipeline of q applied, in this fixed order:
+// post-processing pipeline of q applied. The output equals this
+// composition of the exported helpers, in this order:
 //
-//  1. measure annotation (QueryOptions.Measures),
-//  2. antecedent/consequent group filters,
-//  3. the degree-factor sweep (counted over the filtered rules),
-//  4. top-k truncation.
+//  1. measure annotation (AnnotateMeasures, QueryOptions.Measures),
+//  2. antecedent/consequent group filters (FilterRules),
+//  3. the degree-factor sweep (SweepRules, counted over the filtered
+//     rules),
+//  4. top-k truncation (Result.TopRules),
 //
-// Each stage is exactly the exported helper of the same name
-// (AnnotateMeasures, FilterRules, SweepRules, Result.TopRules), so a
-// fused engine answer equals the helpers applied to the unfiltered
-// answer bit for bit — the differential suite pins this composition.
-// The pipeline runs over its own copy of base's rule slice (measure
-// annotation writes into it); base and its clusters are only read, so
-// any number of calls may share one base concurrently. groupIndex
-// resolves filter names against the summary's partitioning.
+// and the differential suite pins it bit for bit. It runs the stages in
+// another order — filter, sweep, truncate, then copy and annotate only
+// the rules it keeps — because a rule's measures are a pure function of
+// the rule, the clusters and the tuple count, and neither the filters
+// nor the sweep nor the truncation reads them. The kept rules are
+// copied into a slice of the answer's own (nil exactly when the
+// composition's is); base and its clusters are only read, so any number
+// of calls may share one base concurrently. groupIndex resolves filter
+// names against the summary's partitioning.
 func (base *Result) WithQueryModes(q QueryOptions, groupIndex func(string) (int, bool)) (*Result, error) {
 	res := *base
-	res.Rules = slices.Clone(base.Rules)
-	if q.Measures {
-		AnnotateMeasures(&res)
-	}
 	if len(q.AntecedentGroups) > 0 || len(q.ConsequentGroups) > 0 {
 		ante, err := resolveGroupFilter("AntecedentGroups", q.AntecedentGroups, groupIndex)
 		if err != nil {
@@ -351,6 +350,10 @@ func (base *Result) WithQueryModes(q QueryOptions, groupIndex func(string) (int,
 	}
 	if q.TopK > 0 {
 		res.Rules = res.TopRules(q.TopK)
+	}
+	res.Rules = slices.Clone(res.Rules)
+	if q.Measures {
+		AnnotateMeasures(&res)
 	}
 	return &res, nil
 }

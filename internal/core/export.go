@@ -82,50 +82,136 @@ type ExportedPhaseII struct {
 // its rules copy those bytes. A NaN or infinity fails as encoding/json
 // fails, with a *json.UnsupportedValueError for the first one in
 // document order, and nothing is written.
+//
+// The pass is a Frame's head, then the body Frame.Body renders, then
+// the frame's tail, so the document equals NewFrame(res)'s Head, Body
+// and Tail concatenated.
 func WriteJSON(w io.Writer, res *Result, rel relation.Source, part *relation.Partitioning) error {
-	d := docWriter{res: res, schema: rel.Schema(), part: part, b: make([]byte, 0, sizeHint(res))}
-	d.document()
+	d := docWriter{b: make([]byte, 0, frameHint(res)+ruleHint(res))}
+	desc := d.head(res, rel.Schema(), part)
+	d.body(res, d.b, desc)
+	d.tail(res)
 	err := d.err
 	if err == nil {
 		_, err = w.Write(d.b)
 	}
+	return encodingErr(err)
+}
+
+// Frame is the part of a result's WriteJSON document that its rules and
+// sweep do not touch: the head, from "{" through `"rules": `, and the
+// tail, from the "phaseI" member to the closing newline. Every answer
+// WithQueryModes derives from one base shares the base's clusters and
+// statistics, and so its frame; a server renders the frame once per
+// base, and each answer renders only its Body. A Frame is never
+// modified after NewFrame returns it.
+type Frame struct {
+	head, tail []byte
+	// desc[id] is where cluster id's escaped description sits in head;
+	// Body copies rule descriptions from there.
+	desc []span
+}
+
+// NewFrame renders res's frame. A NaN or infinity in the clusters block
+// fails it with WriteJSON's error. Head and tail share one allocation
+// of exactly their length.
+func NewFrame(res *Result, rel relation.Source, part *relation.Partitioning) (*Frame, error) {
+	d := docWriter{b: make([]byte, 0, frameHint(res))}
+	desc := d.head(res, rel.Schema(), part)
+	n := len(d.b)
+	d.tail(res)
+	if d.err != nil {
+		return nil, encodingErr(d.err)
+	}
+	doc := append(make([]byte, 0, len(d.b)), d.b...)
+	return &Frame{head: doc[:n:n], tail: doc[n:], desc: desc}, nil
+}
+
+// Head returns the document's bytes before the rules array.
+func (f *Frame) Head() []byte { return f.head }
+
+// Tail returns the document's bytes after the rules array and sweep.
+func (f *Frame) Tail() []byte { return f.tail }
+
+// Size is the bytes the frame holds: head, tail and the description
+// index (two ints a cluster).
+func (f *Frame) Size() int { return len(f.head) + len(f.tail) + 16*len(f.desc) }
+
+// Body renders res's rules array and its sweep member, if any: the
+// bytes between the frame's Head and Tail. res must have the frame's
+// clusters (the frame's result, or an answer WithQueryModes derived
+// from it). A NaN or infinity in a rule or the sweep fails it with
+// WriteJSON's error.
+func (f *Frame) Body(res *Result) ([]byte, error) {
+	d := docWriter{b: make([]byte, 0, bodyHint(res, f.desc))}
+	d.body(res, f.head, f.desc)
+	if d.err != nil {
+		return nil, encodingErr(d.err)
+	}
+	return d.b, nil
+}
+
+func encodingErr(err error) error {
 	if err != nil {
 		return fmt.Errorf("core: encoding result: %w", err)
 	}
 	return nil
 }
 
-// sizeHint estimates a document's length, so that it is usually
-// appended without regrowing: 240 bytes per cluster and 96 per cluster
-// dimension (centroid, lo and hi), 160 per rule and 48 per cluster it
-// names (an ID line and a description term), and 176 per rule's
-// measures. On the 100K WBCD default answer the document runs 336
-// bytes a cluster and 263 a rule.
-func sizeHint(res *Result) int {
-	n := 512 + 64*len(res.Sweep)
+// frameHint estimates a frame's length, so that it is usually appended
+// without regrowing: 248 bytes per cluster and 96 per cluster dimension
+// (centroid, lo and hi), plus the tail. On the 20K and 100K WBCD
+// summaries the clusters block runs 336–342 bytes a cluster.
+func frameHint(res *Result) int {
+	n := 512
 	for _, c := range res.Clusters {
-		n += 240 + 96*len(c.ACF.LS[c.ACF.Own])
+		n += 248 + 96*len(c.ACF.LS[c.ACF.Own])
 	}
+	return n
+}
+
+// ruleHint is bodyHint before any description is written, for
+// WriteJSON's one buffer: it allows 64 bytes a description, over twice
+// what the WBCD clusters' take, so that a document is usually appended
+// in one allocation.
+func ruleHint(res *Result) int {
+	n := 64 + 72*len(res.Sweep)
 	for _, r := range res.Rules {
-		n += 160 + 48*(len(r.Antecedent)+len(r.Consequent))
+		n += 172 + (18+64)*(len(r.Antecedent)+len(r.Consequent))
 		if r.Measures != nil {
-			n += 176
+			n += 184
 		}
 	}
 	return n
 }
 
-// docWriter appends one WriteJSON document to b. err holds the first
+// bodyHint estimates a body's length from where its clusters'
+// descriptions sit in the head: 172 bytes per rule with its description
+// suffix, 18 per cluster it names besides its description (an ID line
+// and a join), 184 per rule's measures and 72 per sweep point. It runs
+// 2–5% over the 20K and 100K WBCD answers' bodies, so a body is
+// appended without regrowing and keeps little spare capacity.
+func bodyHint(res *Result, desc []span) int {
+	n := 64 + 72*len(res.Sweep)
+	for _, r := range res.Rules {
+		n += 172
+		for _, ids := range [2][]int{r.Antecedent, r.Consequent} {
+			for _, id := range ids {
+				n += 18 + desc[id].end - desc[id].start
+			}
+		}
+		if r.Measures != nil {
+			n += 184
+		}
+	}
+	return n
+}
+
+// docWriter appends WriteJSON document parts to b. err holds the first
 // unsupported float; once it is set the document is discarded.
 type docWriter struct {
-	res    *Result
-	schema *relation.Schema
-	part   *relation.Partitioning
-	b      []byte
-	err    error
-	// desc[id] is where the clusters block wrote cluster id's escaped
-	// description in b; the rules block copies it from there.
-	desc []span
+	b   []byte
+	err error
 }
 
 type span struct{ start, end int }
@@ -133,15 +219,23 @@ type span struct{ start, end int }
 // indent is sliced for the two spaces per level that begin each line.
 const indent = "            "
 
-func (d *docWriter) document() {
-	res := d.res
+// head appends the document up to the rules array: "{", the tuple
+// count and the clusters block, and `"rules": `. It returns where each
+// cluster's escaped description landed in b.
+func (d *docWriter) head(res *Result, schema *relation.Schema, part *relation.Partitioning) []span {
 	d.b = append(d.b, '{')
 	d.field(1, "tuples", true)
 	d.b = strconv.AppendInt(d.b, int64(res.PhaseI.TuplesScanned), 10)
 	d.field(1, "clusters", false)
-	d.clusters()
+	desc := d.clusters(res, schema, part)
 	d.field(1, "rules", false)
-	d.rules()
+	return desc
+}
+
+// body appends the rules array and the sweep member, whose rule
+// descriptions copy from head at desc.
+func (d *docWriter) body(res *Result, head []byte, desc []span) {
+	d.rules(res, head, desc)
 	if len(res.Sweep) > 0 {
 		d.field(1, "sweep", false)
 		d.b = append(d.b, '[')
@@ -155,6 +249,10 @@ func (d *docWriter) document() {
 		}
 		d.close(1, ']')
 	}
+}
+
+// tail appends the phaseI and phaseII members and closes the document.
+func (d *docWriter) tail(res *Result) {
 	d.field(1, "phaseI", false)
 	d.b = append(d.b, '{')
 	d.field(2, "durationMs", true)
@@ -177,28 +275,28 @@ func (d *docWriter) document() {
 }
 
 // clusters appends the clusters array, null when there are none (the
-// nil slice of an empty export), and records where each description
+// nil slice of an empty export), and returns where each description
 // landed.
-func (d *docWriter) clusters() {
-	if len(d.res.Clusters) == 0 {
+func (d *docWriter) clusters(res *Result, schema *relation.Schema, part *relation.Partitioning) []span {
+	if len(res.Clusters) == 0 {
 		d.b = append(d.b, "null"...)
-		return
+		return nil
 	}
-	d.desc = make([]span, len(d.res.Clusters))
+	desc := make([]span, len(res.Clusters))
 	var raw []byte
 	d.b = append(d.b, '[')
-	for i, c := range d.res.Clusters {
+	for i, c := range res.Clusters {
 		d.element(2, i)
 		d.b = append(d.b, '{')
 		d.field(3, "id", true)
 		d.b = strconv.AppendInt(d.b, int64(c.ID), 10)
 		d.field(3, "group", false)
-		d.b = appendJSONString(d.b, d.part.Group(c.Group).Name)
+		d.b = appendJSONString(d.b, part.Group(c.Group).Name)
 		d.field(3, "description", false)
-		raw = c.appendDescription(raw[:0], d.schema, d.part)
+		raw = c.appendDescription(raw[:0], schema, part)
 		start := len(d.b) + 1 // past the opening quote
 		d.b = appendJSONString(d.b, raw)
-		d.desc[i] = span{start, len(d.b) - 1}
+		desc[i] = span{start, len(d.b) - 1}
 		d.field(3, "size", false)
 		d.b = strconv.AppendInt(d.b, c.Size, 10)
 		d.field(3, "centroid", false)
@@ -218,24 +316,25 @@ func (d *docWriter) clusters() {
 		d.close(2, '}')
 	}
 	d.close(1, ']')
+	return desc
 }
 
 // rules appends the rules array, null when there are none. A rule's
-// description is its clusters' escaped descriptions, copied from the
-// clusters block, joined by appendSignature; the joins and the degree
-// suffix need no escaping (see appendSignature).
-func (d *docWriter) rules() {
-	if len(d.res.Rules) == 0 {
+// description is its clusters' escaped descriptions, copied from head,
+// joined by appendSignature; the joins and the degree suffix need no
+// escaping (see appendSignature).
+func (d *docWriter) rules(res *Result, head []byte, desc []span) {
+	if len(res.Rules) == 0 {
 		d.b = append(d.b, "null"...)
 		return
 	}
 	described := func(b []byte, id int) []byte {
-		s := d.desc[id]
-		return append(b, b[s.start:s.end]...)
+		s := desc[id]
+		return append(b, head[s.start:s.end]...)
 	}
 	d.b = append(d.b, '[')
-	for i := range d.res.Rules {
-		r := &d.res.Rules[i]
+	for i := range res.Rules {
+		r := &res.Rules[i]
 		d.element(2, i)
 		d.b = append(d.b, '{')
 		d.field(3, "antecedent", true)

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -121,6 +122,40 @@ func checkWriteJSON(t *testing.T, res *Result, rel relation.Source, part *relati
 	}
 }
 
+// checkFrame asserts that frame's result's Frame around res's Body is
+// WriteJSON's document of res: head, body and tail concatenate to its
+// bytes, or the frame or the body fails with its error and nothing is
+// rendered. frame is res itself or the base res was derived from.
+func checkFrame(t *testing.T, frame, res *Result, rel relation.Source, part *relation.Partitioning) {
+	t.Helper()
+	var want bytes.Buffer
+	wantErr := WriteJSON(&want, res, rel, part)
+	f, err := NewFrame(frame, rel, part)
+	var body []byte
+	switch {
+	case err == nil:
+		body, err = f.Body(res)
+	case f != nil:
+		t.Fatalf("a failed frame returned %d bytes", f.Size())
+	}
+	switch {
+	case (err == nil) != (wantErr == nil):
+		t.Fatalf("frame and body error %v, WriteJSON error %v", err, wantErr)
+	case err != nil:
+		if err.Error() != wantErr.Error() {
+			t.Fatalf("frame and body error %q, WriteJSON error %q", err, wantErr)
+		}
+		if body != nil {
+			t.Fatalf("a failed body returned %d bytes", len(body))
+		}
+	default:
+		got := slices.Concat(f.Head(), body, f.Tail())
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("head + body + tail differs from WriteJSON:\n got %q\nwant %q", got, want.Bytes())
+		}
+	}
+}
+
 // writeJSONDataset is a relation the WriteJSON differential ingests,
 // with thresholds derived as dard derives them.
 type writeJSONDataset struct {
@@ -195,8 +230,10 @@ func ingestDerived(t testing.TB, rel *relation.Relation, part *relation.Partitio
 // TestWriteJSONMatchesReference pins WriteJSON and the description
 // formatters to their references over mined results: the salary golden
 // input, the kitchen sink and a 20K-tuple WBCD summary, under the
-// default query and each query mode, at 1 and 4 workers. Each result
-// is also rendered with a NaN degree, which both sides must reject
+// default query and each query mode, at 1 and 4 workers. Each answer
+// is also rendered as its base's Frame around the answer's Body, as
+// dard serves it, and its own frame must be its base's. Each answer is
+// rendered again with a NaN degree, which every path must reject
 // alike. One post-scan Mine result adds exact boxes and counted
 // supports.
 func TestWriteJSONMatchesReference(t *testing.T) {
@@ -222,12 +259,18 @@ func TestWriteJSONMatchesReference(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/workers=%d/%s", ds.name, workers, qc.name), func(t *testing.T) {
 					q := opt.Query()
 					qc.set(&q)
-					res, err := QuerySummary(sum, q)
+					base, err := QueryBase(sum, q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := base.WithQueryModes(q, sum.GroupIndex)
 					if err != nil {
 						t.Fatal(err)
 					}
 					checkWriteJSON(t, res, ds.rel, ds.part)
-					checkNaNDegree(t, res, ds.rel, ds.part)
+					checkFrame(t, base, res, ds.rel, ds.part)
+					checkSameFrame(t, base, res, ds.rel, ds.part)
+					checkNaNDegree(t, base, res, ds.rel, ds.part)
 				})
 			}
 		}
@@ -248,12 +291,31 @@ func TestWriteJSONMatchesReference(t *testing.T) {
 			t.Fatalf("want counted supports and exact boxes, got %d rules", len(res.Rules))
 		}
 		checkWriteJSON(t, res, ds.rel, ds.part)
+		checkFrame(t, res, res, ds.rel, ds.part)
 	})
 }
 
+// checkSameFrame asserts that an answer's frame is its base's, byte
+// for byte.
+func checkSameFrame(t *testing.T, base, res *Result, rel relation.Source, part *relation.Partitioning) {
+	t.Helper()
+	fb, err := NewFrame(base, rel, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr, err := NewFrame(res, rel, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fb.Head(), fr.Head()) || !bytes.Equal(fb.Tail(), fr.Tail()) {
+		t.Fatal("the answer's frame differs from its base's")
+	}
+}
+
 // checkNaNDegree renders res with one rule's degree NaN: both sides
-// must fail with the same text and write nothing.
-func checkNaNDegree(t *testing.T, res *Result, rel relation.Source, part *relation.Partitioning) {
+// must fail with the same text and write nothing, and so must base's
+// frame around the answer's body.
+func checkNaNDegree(t *testing.T, base, res *Result, rel relation.Source, part *relation.Partitioning) {
 	t.Helper()
 	if len(res.Rules) == 0 {
 		t.Fatal("the case mines no rules")
@@ -268,6 +330,7 @@ func checkNaNDegree(t *testing.T, res *Result, rel relation.Source, part *relati
 		t.Fatalf("NaN degree: error %v with %d bytes written, want %q and none", err, got.Len(), want)
 	}
 	checkWriteJSON(t, &bad, rel, part)
+	checkFrame(t, base, &bad, rel, part)
 }
 
 // TestJSONScalarsMatchEncodingJSON pins the writer's scalar forms to
@@ -508,6 +571,8 @@ func fuzzResult(data []byte) (*Result, relation.Source, *relation.Partitioning) 
 // FuzzWriteJSON differentially fuzzes WriteJSON and the description
 // formatters against encoding/json and fmt over results built straight
 // from the input: both sides must render the same bytes or fail alike.
+// The result's Frame around its Body must be WriteJSON's bytes too, or
+// fail with its error.
 func FuzzWriteJSON(f *testing.F) {
 	f.Add([]byte{})
 	// One interval attribute named "0:\u2028" in a group of that name,
@@ -520,6 +585,7 @@ func FuzzWriteJSON(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		res, rel, part := fuzzResult(data)
 		checkWriteJSON(t, res, rel, part)
+		checkFrame(t, res, res, rel, part)
 	})
 }
 
@@ -528,7 +594,8 @@ func FuzzWriteJSON(f *testing.F) {
 // thresholds, Workers 2): the default query, topK 10, and measures with
 // a degree-factor sweep. Each answer runs through WriteJSON and, as a
 // sibling, through writeJSONReference, the encoding/json path it
-// replaced.
+// replaced. The frame and body siblings time the two halves a server
+// renders apart: NewFrame once per base, Frame.Body once per answer.
 func BenchmarkWriteJSON(b *testing.B) {
 	cfg := datagen.DefaultWBCDConfig()
 	cfg.Tuples = 100000
@@ -555,10 +622,25 @@ func BenchmarkWriteJSON(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		frame, err := NewFrame(res, rel, part)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, w := range []struct {
 			name  string
 			write func(io.Writer, *Result, relation.Source, *relation.Partitioning) error
-		}{{"writer", WriteJSON}, {"reference", writeJSONReference}} {
+		}{
+			{"writer", WriteJSON},
+			{"reference", writeJSONReference},
+			{"frame", func(_ io.Writer, res *Result, rel relation.Source, part *relation.Partitioning) error {
+				_, err := NewFrame(res, rel, part)
+				return err
+			}},
+			{"body", func(io.Writer, *Result, relation.Source, *relation.Partitioning) error {
+				_, err := frame.Body(res)
+				return err
+			}},
+		} {
 			b.Run(qc.name+"/"+w.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {

@@ -37,8 +37,8 @@ func benchServer(b *testing.B) (*Server, *httptest.Server) {
 // variant is the steady state of a hot dashboard (every request a cache
 // hit); the uncached variant invalidates between requests, so each
 // iteration pays Phase II plus rendering; the warm-base variant drops
-// the rendered answer but keeps the memoized base rule set, so each
-// iteration pays the query modes plus rendering.
+// the cached answer but keeps the memoized base rule set and its frame,
+// so each iteration pays the query modes plus the answer's body.
 func BenchmarkServerQuery(b *testing.B) {
 	for _, mode := range []string{"cached", "uncached", "warm-base"} {
 		b.Run(mode, func(b *testing.B) {
@@ -58,12 +58,12 @@ func BenchmarkServerQuery(b *testing.B) {
 					b.StartTimer()
 				case "warm-base":
 					b.StopTimer()
-					base, ok := srv.cache.getBase(baseKey)
+					base, frame, ok := srv.cache.getBase(baseKey)
 					if !ok {
 						b.Fatal("base not memoized")
 					}
 					srv.cache.invalidate("s")
-					srv.cache.putBase(baseKey, base)
+					srv.cache.putBase(baseKey, base, frame)
 					b.StartTimer()
 				}
 				status, body := postQueryQuiet(ts, "s", "{}")

@@ -20,13 +20,27 @@ import (
 )
 
 // renderQuery is the memo-free reference a served body is checked
-// against: a fresh core.QuerySummary, rendered as the server renders.
+// against: a fresh core.QuerySummary, rendered in one core.WriteJSON
+// pass over the summary's recorded schema, as `darminer query -json`
+// renders it.
 func renderQuery(sum *summary.Summary, q core.QueryOptions) ([]byte, error) {
 	res, err := core.QuerySummary(sum, q)
 	if err != nil {
 		return nil, err
 	}
-	return renderResult(sum, res)
+	schema, err := sum.Schema()
+	if err != nil {
+		return nil, err
+	}
+	part, err := sum.Partitioning(schema)
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	if err := core.WriteJSON(&buf, res, relation.NewRelation(schema), part); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // installMergedWBCD installs, under name, a 4-shard merge of a small
@@ -430,36 +444,16 @@ func TestOptionBodiesRejectTrailingData(t *testing.T) {
 }
 
 // TestCachedBodiesAreTight checks that the result cache holds what
-// cache_bytes counts: every body it stores has at most allocator
-// rounding past its length (an eighth, or one 8 KiB page), not the
-// spare capacity of a buffer the render grew into. It runs over the
-// salary golden dataset and a 20K-tuple WBCD summary, at topK 0 and 10.
+// cache_bytes and cache_base_bytes count: every answer body and every
+// frame it stores has at most allocator rounding past its length (an
+// eighth, or one 8 KiB page), not the spare capacity of a buffer the
+// render grew into. It runs over the salary golden dataset and a
+// 20K-tuple WBCD summary, at topK 0 and 10: four answers over two
+// memoized bases.
 func TestCachedBodiesAreTight(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
 	postIngest(t, ts, "salary", "", salaryCSV(t))
-
-	cfg := datagen.DefaultWBCDConfig()
-	cfg.Tuples = 20000
-	rel, err := datagen.WBCDLike(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	part := relation.SingletonPartitioning(rel.Schema())
-	opt := core.DefaultOptions()
-	if opt.DiameterThresholds, err = core.SuggestThresholds(rel, part, core.AdvisorOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	sum, err := core.Ingest(rel, part, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	encoded, err := summary.Encode(sum)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := srv.InstallSummary("wbcd", encoded); err != nil {
-		t.Fatal(err)
-	}
+	installWBCD20K(t, srv, "wbcd")
 
 	for _, name := range []string{"salary", "wbcd"} {
 		for _, doc := range []string{`{}`, `{"topK":10}`} {
@@ -470,18 +464,23 @@ func TestCachedBodiesAreTight(t *testing.T) {
 	}
 	srv.cache.mu.Lock()
 	defer srv.cache.mu.Unlock()
-	bodies := 0
-	for key, e := range srv.cache.m {
-		if e.body == nil {
-			continue
-		}
-		bodies++
-		slack := max(len(e.body)/8, 8<<10)
-		if cap(e.body) > len(e.body)+slack {
-			t.Errorf("cached body %q: cap %d for %d bytes (slack %d)", key, cap(e.body), len(e.body), slack)
+	tight := func(what, key string, length, capacity int) {
+		if slack := max(length/8, 8<<10); capacity > length+slack {
+			t.Errorf("cached %s %q: cap %d for %d bytes (slack %d)", what, key, capacity, length, slack)
 		}
 	}
-	if bodies != 4 {
-		t.Errorf("cache holds %d bodies, want 4", bodies)
+	answers, frames := 0, 0
+	for key, e := range srv.cache.m {
+		if e.base != nil {
+			frames++
+			f := e.frame
+			tight("frame", key, len(f.Head())+len(f.Tail()), cap(f.Head())+cap(f.Tail()))
+			continue
+		}
+		answers++
+		tight("answer body", key, len(e.body), cap(e.body))
+	}
+	if answers != 4 || frames != 2 {
+		t.Errorf("cache holds %d answers and %d frames, want 4 and 2", answers, frames)
 	}
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -478,10 +477,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := cacheKey(name, version, q.CanonicalKey())
-	if cached, hit := s.cache.get(key); hit {
+	if frame, body, hit := s.cache.get(key); hit {
 		s.metrics.QueryCacheHits.Add(1)
 		s.metrics.QueryLatencyUsSum.Add(time.Since(start).Microseconds())
-		s.serveResult(w, version, "hit", cached)
+		s.serveResult(w, version, "hit", frame, body)
 		return
 	}
 	s.metrics.QueryCacheMisses.Add(1)
@@ -491,15 +490,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// preemptible: on timeout the client gets a 504 while the execution
 	// runs on and parks its result in the cache for the next request.
 	type flightResult struct {
-		body    []byte
-		version uint64
-		shared  bool
-		err     error
+		val    flightValue
+		shared bool
+		err    error
 	}
 	ch := make(chan flightResult, 1)
 	go func() {
-		b, v, shared, err := s.runQueryFlight(key, name, q)
-		ch <- flightResult{body: b, version: v, shared: shared, err: err}
+		val, shared, err := s.runQueryFlight(key, name, q)
+		ch <- flightResult{val: val, shared: shared, err: err}
 	}()
 
 	timer := time.NewTimer(s.cfg.QueryTimeout)
@@ -516,7 +514,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			s.metrics.QueryShared.Add(1)
 			mode = "shared"
 		}
-		s.serveResult(w, res.version, mode, res.body)
+		s.serveResult(w, res.val.version, mode, res.val.frame, res.val.body)
 	case <-timer.C:
 		s.metrics.QueryTimeouts.Add(1)
 		s.writeError(w, http.StatusGatewayTimeout, "query exceeded the %v execution budget; retry to pick up the cached result", s.cfg.QueryTimeout)
@@ -526,12 +524,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// runQueryFlight executes one deduplicated query. The cache entry is
+// runQueryFlight executes one deduplicated query: the base's frame
+// from the memo (queryBase) and this answer's body. The cache entry is
 // written under the version actually loaded from the catalog (a merge
 // may land between the handler's probe and the load), so a cached body
 // is always the product of the version in its key.
-func (s *Server) runQueryFlight(key, name string, q core.QueryOptions) ([]byte, uint64, bool, error) {
-	val, shared, err := s.flights.Do(key, func() (flightValue, error) {
+func (s *Server) runQueryFlight(key, name string, q core.QueryOptions) (flightValue, bool, error) {
+	return s.flights.Do(key, func() (flightValue, error) {
 		if h := s.testHookExec.Load(); h != nil {
 			(*h)()
 		}
@@ -540,36 +539,42 @@ func (s *Server) runQueryFlight(key, name string, q core.QueryOptions) ([]byte, 
 			return flightValue{}, err
 		}
 		s.metrics.QueryExecutions.Add(1)
-		base, err := s.queryBase(name, v, sum, q)
+		base, frame, err := s.queryBase(name, v, sum, q)
+		if base == nil {
+			return flightValue{}, err
+		}
+		res, modeErr := base.WithQueryModes(q, sum.GroupIndex)
+		if modeErr != nil {
+			return flightValue{}, modeErr
+		}
+		if err != nil { // the frame failed: its clusters block comes first in the document
+			return flightValue{}, err
+		}
+		body, err := frame.Body(res)
 		if err != nil {
 			return flightValue{}, err
 		}
-		res, err := base.WithQueryModes(q, sum.GroupIndex)
-		if err != nil {
-			return flightValue{}, err
-		}
-		rendered, err := renderResult(sum, res)
-		if err != nil {
-			return flightValue{}, err
-		}
-		s.cache.put(cacheKey(name, v, q.CanonicalKey()), rendered)
-		return flightValue{body: rendered, version: v}, nil
+		s.cache.putAnswer(cacheKey(name, v, q.CanonicalKey()), baseCacheKey(name, v, q), frame, body)
+		return flightValue{frame: frame, body: body, version: v}, nil
 	})
-	return val.body, val.version, shared, err
 }
 
 // queryBase returns the base rule set (core.QueryBase) of q over
-// version v of the named summary. It runs in a flight keyed by the
-// base's memo key, so concurrent misses sharing a base build it once;
-// the flight takes the base from the memo when an earlier miss on that
-// version built it, and otherwise builds it — never under the cache
-// mutex — and memoizes it.
-func (s *Server) queryBase(name string, v uint64, sum *summary.Summary, q core.QueryOptions) (*core.Result, error) {
+// version v of the named summary and its frame (core.NewFrame, with
+// cluster descriptions from the summary's recorded schema). It runs in
+// a flight keyed by the base's memo key, so concurrent misses sharing a
+// base build it once; the flight takes base and frame from the memo
+// when an earlier miss on that version built them, and otherwise builds
+// them — never under the cache mutex — and memoizes them. When only the
+// frame fails, it returns the base with the frame's error and memoizes
+// nothing, so that a mode's error answers first, as when one pass
+// rendered the whole document.
+func (s *Server) queryBase(name string, v uint64, sum *summary.Summary, q core.QueryOptions) (*core.Result, *core.Frame, error) {
 	key := baseCacheKey(name, v, q)
 	built := false // set only when this caller's own flight built the base
 	val, _, err := s.flights.Do(key, func() (flightValue, error) {
-		if base, ok := s.cache.getBase(key); ok {
-			return flightValue{base: base}, nil
+		if base, frame, ok := s.cache.getBase(key); ok {
+			return flightValue{base: base, frame: frame}, nil
 		}
 		if h := s.testHookBase.Load(); h != nil {
 			(*h)()
@@ -579,27 +584,29 @@ func (s *Server) queryBase(name string, v uint64, sum *summary.Summary, q core.Q
 			return flightValue{}, err
 		}
 		built = true
-		s.cache.putBase(key, base)
-		return flightValue{base: base}, nil
+		frame, err := renderFrame(sum, base)
+		if err != nil {
+			return flightValue{base: base}, err
+		}
+		s.cache.putBase(key, base, frame)
+		return flightValue{base: base, frame: frame}, nil
 	})
-	if err != nil {
-		return nil, err
+	if val.base == nil {
+		return nil, nil, err
 	}
 	if built {
 		s.metrics.QueryBaseBuilds.Add(1)
 	} else {
 		s.metrics.QueryBaseReuses.Add(1)
 	}
-	return val.base, nil
+	return val.base, val.frame, err
 }
 
-// renderResult renders a query result over sum as `darminer query
-// -json` does, through core.WriteJSON. Cluster descriptions come from
-// the summary's recorded schema — an empty relation over it serves as
-// the value formatter, as on the CLI path. WriteJSON hands the buffer
-// the whole document in one Write, so the body the result cache keeps
-// is sized to it: cache_bytes counts what the cache holds.
-func renderResult(sum *summary.Summary, res *core.Result) ([]byte, error) {
+// renderFrame renders base's frame as `darminer query -json` renders
+// its document. Cluster descriptions come from the summary's recorded
+// schema — an empty relation over it serves as the value formatter, as
+// on the CLI path.
+func renderFrame(sum *summary.Summary, base *core.Result) (*core.Frame, error) {
 	schema, err := sum.Schema()
 	if err != nil {
 		return nil, err
@@ -608,19 +615,23 @@ func renderResult(sum *summary.Summary, res *core.Result) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	if err := core.WriteJSON(&buf, res, relation.NewRelation(schema), part); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return core.NewFrame(base, relation.NewRelation(schema), part)
 }
 
-// serveResult writes a successful query response.
-func (s *Server) serveResult(w http.ResponseWriter, version uint64, cacheMode string, body []byte) {
+// serveResult writes a successful query response: the frame's head,
+// the answer's body and the frame's tail, with their total length
+// announced.
+func (s *Server) serveResult(w http.ResponseWriter, version uint64, cacheMode string, frame *core.Frame, body []byte) {
+	head, tail := frame.Head(), frame.Tail()
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(head)+len(body)+len(tail)))
 	w.Header().Set("X-Dard-Summary-Version", strconv.FormatUint(version, 10))
 	w.Header().Set("X-Dard-Cache", cacheMode)
-	w.Write(body) //nolint:errcheck // client went away; nothing to do
+	for _, part := range [][]byte{head, body, tail} {
+		if _, err := w.Write(part); err != nil {
+			return // client went away; nothing to do
+		}
+	}
 }
 
 // writeCatalogError maps catalog and execution failures onto HTTP

@@ -22,11 +22,14 @@ type flightGroup struct {
 }
 
 // flightValue is what one execution hands every caller of its flight:
-// the rendered body and the catalog versions it was rendered from, so
-// a waiter's response names the same versions as the executor's — or,
-// for a base flight (Server.queryBase), the base rule set it built.
+// the rendered response (a query answer's frame and body, or a diff's
+// document) and the catalog versions it was rendered from, so a
+// waiter's response names the same versions as the executor's — or,
+// for a base flight (Server.queryBase), the base rule set it built and
+// its frame.
 type flightValue struct {
 	body       []byte
+	frame      *core.Frame
 	version    uint64 // the queried summary's version; a diff's old one
 	newVersion uint64 // a diff's new summary's version
 	base       *core.Result
