@@ -126,12 +126,13 @@ fuzzsmoke:
 # encoding/json and fmt references, byte for byte, on every mode's
 # answer over the salary, kitchen-sink and WBCD data, and so must the
 # base's frame around the answer's body, as dard serves it. Cache: a
-# cached answer holds its own body, not its frame; the recency list
-# evicts what the old scan did; and what the cache holds, each frame
-# once, stays inside its budget.
+# cached answer holds its own body, not its frame, which only its base
+# holds; eviction takes the answer before its base; what the cache holds
+# stays inside its budget; and a frame that fails answers each query
+# as the one pass did, over a base built once.
 querydiff:
 	$(GO) test -race -run 'TestQueryIngestMatchesMine|TestQueryNominal|TestIncrementalNominal|TestPostScanNominalDegreesAreExact|TestQueryModes|TestMeasure|TestConviction|TestDiffRules|TestWriteJSONMatchesReference' ./internal/core
-	$(GO) test -race -run 'TestQueryMode|TestServedDiff|TestModeCache|TestDiffCache|TestDiffMetrics|TestMemo|TestOptionBodies|TestCache|TestResultCache' ./internal/server
+	$(GO) test -race -run 'TestQueryMode|TestServedDiff|TestModeCache|TestDiffCache|TestDiffMetrics|TestMemo|TestOptionBodies|TestCache|TestResultCache|TestQueryFrame' ./internal/server
 	$(GO) test -race -run 'TestIngestQueryMatchesMine|TestGoldenQuery|TestOldSummary|TestDiffCLI|TestRemoteDiff' ./cmd/darminer
 
 # perfbench's own tests (a separate module): its output checks answer

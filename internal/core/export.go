@@ -87,7 +87,7 @@ type ExportedPhaseII struct {
 // the frame's tail, so the document equals NewFrame(res)'s Head, Body
 // and Tail concatenated.
 func WriteJSON(w io.Writer, res *Result, rel relation.Source, part *relation.Partitioning) error {
-	d := docWriter{b: make([]byte, 0, frameHint(res)+ruleHint(res))}
+	d := docWriter{b: make([]byte, 0, frameHint(res)+bodyHint(res, nil))}
 	desc := d.head(res, rel.Schema(), part)
 	d.body(res, d.b, desc)
 	d.tail(res)
@@ -170,25 +170,12 @@ func frameHint(res *Result) int {
 	return n
 }
 
-// ruleHint is bodyHint before any description is written, for
-// WriteJSON's one buffer: it allows 64 bytes a description, over twice
-// what the WBCD clusters' take, so that a document is usually appended
-// in one allocation.
-func ruleHint(res *Result) int {
-	n := 64 + 72*len(res.Sweep)
-	for _, r := range res.Rules {
-		n += 172 + (18+64)*(len(r.Antecedent)+len(r.Consequent))
-		if r.Measures != nil {
-			n += 184
-		}
-	}
-	return n
-}
-
-// bodyHint estimates a body's length from where its clusters'
-// descriptions sit in the head: 172 bytes per rule with its description
-// suffix, 18 per cluster it names besides its description (an ID line
-// and a join), 184 per rule's measures and 72 per sweep point. It runs
+// bodyHint estimates a body's length: 172 bytes per rule with its
+// description suffix, 18 per cluster it names besides its description
+// (an ID line and a join), 184 per rule's measures and 72 per sweep
+// point. Each description's length is read from where desc says the
+// head holds it; before the head is written (desc nil) it allows 64
+// bytes, over twice what the WBCD clusters' take. With desc it runs
 // 2–5% over the 20K and 100K WBCD answers' bodies, so a body is
 // appended without regrowing and keeps little spare capacity.
 func bodyHint(res *Result, desc []span) int {
@@ -197,7 +184,11 @@ func bodyHint(res *Result, desc []span) int {
 		n += 172
 		for _, ids := range [2][]int{r.Antecedent, r.Consequent} {
 			for _, id := range ids {
-				n += 18 + desc[id].end - desc[id].start
+				w := 64
+				if desc != nil {
+					w = desc[id].end - desc[id].start
+				}
+				n += 18 + w
 			}
 		}
 		if r.Measures != nil {

@@ -58,12 +58,12 @@ func BenchmarkServerQuery(b *testing.B) {
 					b.StartTimer()
 				case "warm-base":
 					b.StopTimer()
-					base, frame, ok := srv.cache.getBase(baseKey)
-					if !ok {
-						b.Fatal("base not memoized")
+					base, frame, err := srv.cache.getBase(baseKey)
+					if base == nil || err != nil {
+						b.Fatalf("base not memoized (frame error %v)", err)
 					}
 					srv.cache.invalidate("s")
-					srv.cache.putBase(baseKey, base, frame)
+					srv.cache.putBase(baseKey, base, frame, nil)
 					b.StartTimer()
 				}
 				status, body := postQueryQuiet(ts, "s", "{}")

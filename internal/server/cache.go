@@ -16,54 +16,44 @@ import (
 // dead bytes behind live traffic.
 //
 // A query answer is held as its own body (core.Frame.Body: the rules
-// and the sweep) plus its base's frame, and served as frame head, body
-// and frame tail; a diff is held as its whole document. Either way the
-// served bytes are the ones the miss that populated the entry served —
-// the served-vs-CLI differential relies on this.
+// and the sweep) and served inside the frame of its base; a diff is
+// held as its whole document. Either way the served bytes are the ones
+// the miss that populated the entry served, but for the frame's Phase
+// I/II durationMs should its base have been rebuilt in between — the
+// served-vs-CLI differential, which drops durationMs, relies on this.
 //
 // The same budget and LRU also hold the query memo: the base rule sets
 // (core.QueryBase) of the summary versions recent misses ran on and
 // their frames, under keys of their own (see baseCacheKey), weighed by
-// baseBytes plus the frame. An answer weighs only its body while the
-// base entry holding its frame is resident, and its whole document
-// otherwise. Storing or hitting such an answer refreshes the base after
-// it, so a base is always more recent than every answer leaning on it:
-// eviction takes the answers first, and no frame is held by answers
-// alone without being weighed.
+// baseBytes plus the frame, so every frame is weighed once, in its
+// base's entry. An answer is stored only where it fits beside its
+// resident base, and storing or hitting it refreshes the base after
+// it, so eviction takes a base's answers before the base.
 type resultCache struct {
 	budget int64 // <= 0 disables caching entirely
 
-	mu sync.Mutex
-	m  map[string]*cacheEntry
-	// lru is the recency list's sentinel: lru.next is the most recently
-	// used entry, lru.prev the least.
-	lru cacheEntry
-	// held counts entries and their weight by kind: held[0] the
-	// responses (query answers and diffs), held[1] the memoized bases.
-	held [2]struct {
-		entries int
-		bytes   int64
-	}
+	mu    sync.Mutex
+	m     map[string]*cacheEntry
+	bytes int64
+	clock uint64
 }
 
-// cacheEntry is a query answer (body and frame), a diff (body alone)
-// or a memoized base (base and frame).
+// cacheEntry holds a query answer's body and its base's key, a diff's
+// document, or a memoized base with its frame — or, when the frame
+// failed to render, the error it failed with.
 type cacheEntry struct {
-	key   string
-	body  []byte
-	frame *core.Frame
-	base  *core.Result
-	// owner is the resident base entry holding an answer's frame, which
-	// then is not in the answer's size.
-	owner      *cacheEntry
-	size       int64
-	prev, next *cacheEntry // nil once the entry left the cache
+	key      string
+	body     []byte
+	baseKey  string
+	base     *core.Result
+	frame    *core.Frame
+	frameErr error
+	size     int64
+	lastUse  uint64
 }
 
 func newResultCache(budget int64) *resultCache {
-	c := &resultCache{budget: budget, m: make(map[string]*cacheEntry)}
-	c.lru.prev, c.lru.next = &c.lru, &c.lru
-	return c
+	return &resultCache{budget: budget, m: make(map[string]*cacheEntry)}
 }
 
 // cacheKey renders the composite key: name, version, canonical option
@@ -96,24 +86,46 @@ func baseBytes(res *core.Result) int64 {
 	return n
 }
 
-// get returns the cached response under key — a query answer's frame
-// and body, or a diff's document and a nil frame — updating recency.
-func (c *resultCache) get(key string) (*core.Frame, []byte, bool) {
+// get returns the cached diff document under key, updating recency.
+func (c *resultCache) get(key string) ([]byte, bool) {
 	e := c.lookup(key)
 	if e == nil {
-		return nil, nil, false
+		return nil, false
 	}
-	return e.frame, e.body, true
+	return e.body, true
 }
 
-// getBase returns the memoized base under key and its frame, updating
-// recency.
-func (c *resultCache) getBase(key string) (*core.Result, *core.Frame, bool) {
-	e := c.lookup(key)
-	if e == nil {
+// getAnswer returns the query answer under key and its base's frame,
+// refreshing the answer and then the base. An answer whose base is not
+// resident is a miss.
+func (c *resultCache) getAnswer(key string) (*core.Frame, []byte, bool) {
+	if c.budget <= 0 {
 		return nil, nil, false
 	}
-	return e.base, e.frame, true
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.m[key]
+	if !ok {
+		return nil, nil, false
+	}
+	b, ok := c.m[e.baseKey]
+	if !ok {
+		return nil, nil, false
+	}
+	c.use(e)
+	c.use(b)
+	return b.frame, e.body, true
+}
+
+// getBase returns the memoized base under key, its frame and the error
+// its frame failed with, updating recency; base is nil when none is
+// memoized.
+func (c *resultCache) getBase(key string) (base *core.Result, frame *core.Frame, frameErr error) {
+	e := c.lookup(key)
+	if e == nil {
+		return nil, nil, nil
+	}
+	return e.base, e.frame, e.frameErr
 }
 
 func (c *resultCache) lookup(key string) *cacheEntry {
@@ -126,101 +138,76 @@ func (c *resultCache) lookup(key string) *cacheEntry {
 	if !ok {
 		return nil
 	}
-	c.touch(e)
+	c.use(e)
 	return e
 }
 
-// put stores a diff body, evicting least-recently-used entries to fit
-// the budget. Bodies larger than the whole budget are not cached.
+func (c *resultCache) use(e *cacheEntry) {
+	c.clock++
+	e.lastUse = c.clock
+}
+
+// put stores a diff document, evicting least-recently-used entries to
+// fit the budget. Bodies larger than the whole budget are not cached.
 func (c *resultCache) put(key string, body []byte) {
-	c.store(&cacheEntry{key: key, body: body, size: int64(len(body))}, "")
+	c.store(&cacheEntry{key: key, body: body, size: int64(len(body))})
 }
 
-// putAnswer stores a query answer: its own body and the frame of the
-// base memoized under baseKey. It weighs len(body) if that base entry
-// is resident and holds this frame, and the whole document otherwise.
-// An answer that does not fit the budget beside its base is not cached.
-func (c *resultCache) putAnswer(key, baseKey string, frame *core.Frame, body []byte) {
-	c.store(&cacheEntry{key: key, body: body, frame: frame, size: int64(len(body))}, baseKey)
+// putAnswer stores a query answer's body, to be served inside the frame
+// of the base memoized under baseKey. An answer is useless without its
+// base: it is not stored if the base is not resident, or if the two do
+// not fit the budget together.
+func (c *resultCache) putAnswer(key, baseKey string, body []byte) {
+	c.store(&cacheEntry{key: key, body: body, baseKey: baseKey, size: int64(len(body))})
 }
 
-// putBase memoizes a base rule set and its frame. Neither may be
-// modified afterwards: every later miss on its version reads them
-// concurrently. A base already resident under key stays, so the
-// answers weighed against its frame keep their owner.
-func (c *resultCache) putBase(key string, base *core.Result, frame *core.Frame) {
-	c.store(&cacheEntry{key: key, base: base, frame: frame, size: baseBytes(base) + int64(frame.Size())}, "")
+// putBase memoizes a base rule set and its frame, or the error its
+// frame failed with. Neither may be modified afterwards: every later
+// miss on its version reads them concurrently.
+func (c *resultCache) putBase(key string, base *core.Result, frame *core.Frame, frameErr error) {
+	e := &cacheEntry{key: key, base: base, frame: frame, frameErr: frameErr, size: baseBytes(base)}
+	if frame != nil {
+		e.size += int64(frame.Size())
+	}
+	c.store(e)
 }
 
-func (c *resultCache) store(e *cacheEntry, baseKey string) {
-	if c.budget <= 0 {
+func (c *resultCache) store(e *cacheEntry) {
+	if c.budget <= 0 || e.size > c.budget {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	old := c.m[e.key]
-	if e.base != nil && old != nil {
+	b := c.m[e.baseKey]
+	if e.baseKey != "" && (b == nil || e.size+b.size > c.budget) {
 		return
 	}
-	need := e.size
-	if e.frame != nil && e.base == nil {
-		if b := c.m[baseKey]; b != nil && b.frame == e.frame {
-			e.owner = b
-			need += b.size
-		} else {
-			e.size += int64(e.frame.Size())
-			need = e.size
-		}
+	if old, ok := c.m[e.key]; ok {
+		c.bytes -= old.size
 	}
-	if need > c.budget {
-		return
-	}
-	if old != nil {
-		c.remove(old)
-	}
+	c.use(e)
 	c.m[e.key] = e
-	c.held[e.kind()].entries++
-	c.held[e.kind()].bytes += e.size
-	c.link(e)
-	if e.owner != nil {
-		c.touch(e.owner)
+	c.bytes += e.size
+	if b != nil {
+		c.use(b)
 	}
-	// e and its owner are the most recent entries and fit together, so
-	// the tail never reaches them.
-	for c.held[0].bytes+c.held[1].bytes > c.budget {
-		c.remove(c.lru.prev)
+	for c.bytes > c.budget {
+		var victim *cacheEntry
+		for _, v := range c.m {
+			if v.key == e.key {
+				continue
+			}
+			if victim == nil || v.lastUse < victim.lastUse ||
+				(v.lastUse == victim.lastUse && v.key < victim.key) {
+				victim = v
+			}
+		}
+		if victim == nil {
+			return
+		}
+		delete(c.m, victim.key)
+		c.bytes -= victim.size
 	}
-}
-
-// kind indexes held: 1 for a memoized base, 0 for a response.
-func (e *cacheEntry) kind() int {
-	if e.base != nil {
-		return 1
-	}
-	return 0
-}
-
-// link puts e at the front of the recency list.
-func (c *resultCache) link(e *cacheEntry) {
-	e.prev, e.next = &c.lru, c.lru.next
-	e.prev.next, e.next.prev = e, e
-}
-
-// touch makes e the most recently used entry, and then e's owner.
-func (c *resultCache) touch(e *cacheEntry) {
-	for ; e != nil && e.next != nil; e = e.owner {
-		e.prev.next, e.next.prev = e.next, e.prev
-		c.link(e)
-	}
-}
-
-// remove takes e out of the map, the recency list and the totals.
-func (c *resultCache) remove(e *cacheEntry) {
-	delete(c.m, e.key)
-	e.prev.next, e.next.prev = e.next, e.prev
-	e.prev, e.next = nil, nil
-	c.held[e.kind()].entries--
-	c.held[e.kind()].bytes -= e.size
 }
 
 // invalidate eagerly removes every entry belonging to a summary name
@@ -239,22 +226,28 @@ func (c *resultCache) invalidate(name string) {
 	defer c.mu.Unlock()
 	for key, e := range c.m {
 		if strings.HasPrefix(key, prefix) || strings.Contains(key, diffMark) {
-			c.remove(e)
+			delete(c.m, key)
+			c.bytes -= e.size
 		}
 	}
 }
 
-// stats returns the responses' gauges for /metrics: query answers
-// (their own bodies, plus their frames when no resident base holds
-// them) and diffs.
-func (c *resultCache) stats() (entries int, bytes int64) { return c.count(0) }
+// stats returns the gauges of the query answers' bodies and the diffs
+// for /metrics.
+func (c *resultCache) stats() (entries int, bytes int64) { return c.count(false) }
 
 // baseStats returns the memoized bases' gauges, frames included; with
 // stats they account for the whole budget.
-func (c *resultCache) baseStats() (entries int, bytes int64) { return c.count(1) }
+func (c *resultCache) baseStats() (entries int, bytes int64) { return c.count(true) }
 
-func (c *resultCache) count(kind int) (entries int, bytes int64) {
+func (c *resultCache) count(bases bool) (entries int, bytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.held[kind].entries, c.held[kind].bytes
+	for _, e := range c.m {
+		if (e.base != nil) == bases {
+			entries++
+			bytes += e.size
+		}
+	}
+	return entries, bytes
 }

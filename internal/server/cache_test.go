@@ -2,10 +2,9 @@ package server
 
 import (
 	"bytes"
-	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,91 +14,6 @@ import (
 	"repro/internal/relation"
 	"repro/internal/summary"
 )
-
-// scanCache is the result cache's accounting with each victim found the
-// way the cache found it before it kept a recency list: a scan over
-// every entry for the oldest last use (ties to the smaller key, which
-// never fires since uses are unique). It models weights only; the
-// differential drives it and resultCache with one operation sequence.
-type scanCache struct {
-	budget int64
-	m      map[string]*scanEntry
-	clock  uint64
-}
-
-type scanEntry struct {
-	size    int64
-	base    bool
-	frame   *core.Frame
-	owner   string // the base key an answer leaves its frame's weight to
-	lastUse uint64
-}
-
-func (c *scanCache) use(key string) {
-	c.clock++
-	c.m[key].lastUse = c.clock
-}
-
-func (c *scanCache) get(key string) bool {
-	e, ok := c.m[key]
-	if !ok {
-		return false
-	}
-	c.use(key)
-	if e.owner != "" {
-		c.use(e.owner)
-	}
-	return true
-}
-
-func (c *scanCache) store(key string, e *scanEntry, baseKey string) {
-	if _, resident := c.m[key]; e.base && resident {
-		return
-	}
-	need := e.size
-	if e.frame != nil && !e.base {
-		if b, ok := c.m[baseKey]; ok && b.base && b.frame == e.frame {
-			e.owner = baseKey
-			need += b.size
-		} else {
-			e.size += int64(e.frame.Size())
-			need = e.size
-		}
-	}
-	if need > c.budget {
-		return
-	}
-	c.m[key] = e
-	c.use(key)
-	if e.owner != "" {
-		c.use(e.owner)
-	}
-	for c.bytes() > c.budget {
-		victim := ""
-		for k, v := range c.m {
-			if victim == "" || v.lastUse < c.m[victim].lastUse || (v.lastUse == c.m[victim].lastUse && k < victim) {
-				victim = k
-			}
-		}
-		delete(c.m, victim)
-	}
-}
-
-func (c *scanCache) bytes() int64 {
-	var n int64
-	for _, e := range c.m {
-		n += e.size
-	}
-	return n
-}
-
-func (c *scanCache) invalidate(name string) {
-	for k := range c.m {
-		if strings.HasPrefix(k, name+"\x00") || strings.Contains(k, "\x00diff\x00"+name+"\x00") {
-			delete(c.m, k)
-		}
-	}
-}
 
 // heldBytes is what the cache really holds: every answer's and diff's
 // body, every base's weight without its frame, and each distinct frame
@@ -122,130 +36,72 @@ func heldBytes(c *resultCache) int64 {
 	return n
 }
 
-// testFrames renders bases and frames of the salary summary at a few
-// support thresholds, so their frames differ in size.
-func testFrames(t *testing.T) ([]*core.Result, []*core.Frame) {
+// salaryFrame returns the salary summary's default base and its frame.
+func salaryFrame(t *testing.T) (*core.Result, *core.Frame) {
 	t.Helper()
 	sum, err := summary.Decode(encodeShard(t, salaryCSV(t), ""))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var bases []*core.Result
-	var frames []*core.Frame
-	for _, frac := range []float64{0.01, 0.05, 0.2} {
-		q := core.DefaultQueryOptions()
-		q.FrequencyFraction = frac
-		base, err := core.QueryBase(sum, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		frame, err := renderFrame(sum, base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bases, frames = append(bases, base), append(frames, frame)
+	base, err := core.QueryBase(sum, core.DefaultQueryOptions())
+	if err != nil {
+		t.Fatal(err)
 	}
-	return bases, frames
+	frame, err := renderFrame(sum, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return base, frame
 }
 
-// TestResultCacheMatchesScan drives the recency-list cache and the
-// scan model with one random sequence of gets, answer, diff and base
-// stores, and invalidations, under a budget a few frames wide: after
-// every operation both hold the same keys at the same weights, the
-// gauges equal the held entries' totals, and what the cache really
-// holds — each distinct frame once — stays inside the budget.
-func TestResultCacheMatchesScan(t *testing.T) {
-	bases, frames := testFrames(t)
-	budget := 3 * (baseBytes(bases[0]) + int64(frames[0].Size()))
-	var leaning, whole int // answers held beside their base, and without it
-	for seed := int64(1); seed <= 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		c := newResultCache(budget)
-		ref := &scanCache{budget: budget, m: map[string]*scanEntry{}}
-		names := []string{"a", "b", "c"}
-		baseKey := func(name string, i int) string { return fmt.Sprintf("%s\x001\x00base\x00%d", name, i) }
-		for op := 0; op < 600; op++ {
-			name := names[rng.Intn(len(names))]
-			i := rng.Intn(len(bases))
-			key := cacheKey(name, 1, fmt.Sprintf("metric=D2,topK=%d", rng.Intn(6)))
-			var what string
-			switch r := rng.Intn(20); {
-			case r < 7:
-				what = "get " + key
-				_, _, ok := c.get(key)
-				if ok != ref.get(key) {
-					t.Fatalf("seed %d op %d: %s hit %v, scan model %v", seed, op, what, ok, !ok)
-				}
-			case r < 8:
-				what = "getBase"
-				_, _, ok := c.getBase(baseKey(name, i))
-				if ok != ref.get(baseKey(name, i)) {
-					t.Fatalf("seed %d op %d: getBase hit %v, scan model %v", seed, op, ok, !ok)
-				}
-			case r < 14:
-				what = "putAnswer " + key
-				// Mostly the resident base's frame; sometimes another's,
-				// as when the base was rebuilt after an eviction.
-				frame := frames[i]
-				if rng.Intn(4) == 0 {
-					frame = frames[(i+1)%len(frames)]
-				}
-				// Mostly small; sometimes too big to sit beside its base.
-				n := rng.Intn(int(budget) / 4)
-				if rng.Intn(8) == 0 {
-					n = rng.Intn(int(budget))
-				}
-				c.putAnswer(key, baseKey(name, i), frame, make([]byte, n))
-				ref.store(key, &scanEntry{size: int64(n), frame: frame}, baseKey(name, i))
-			case r < 16:
-				what = "putBase"
-				c.putBase(baseKey(name, i), bases[i], frames[i])
-				ref.store(baseKey(name, i), &scanEntry{size: baseBytes(bases[i]) + int64(frames[i].Size()), base: true, frame: frames[i]}, "")
-			case r < 18:
-				what = "put diff"
-				dk := diffCacheKey(name, 1, names[rng.Intn(len(names))], 1, "metric=D2")
-				n := rng.Intn(int(budget) / 3)
-				c.put(dk, make([]byte, n))
-				ref.store(dk, &scanEntry{size: int64(n)}, "")
-			default:
-				what = "invalidate " + name
-				c.invalidate(name)
-				ref.invalidate(name)
-			}
+// TestCacheAnswerLeansOnItsBase: an answer is served inside its base's
+// frame, so storing or hitting it refreshes the base after it, and LRU
+// evicts the answer first; an answer is not stored without its base,
+// nor where it would not fit beside it.
+func TestCacheAnswerLeansOnItsBase(t *testing.T) {
+	base, frame := salaryFrame(t)
+	budget := baseBytes(base) + int64(frame.Size()) + 100
+	const answer, baseKey = "s\x001\x00a", "s\x001\x00base\x00x"
 
-			c.mu.Lock()
-			var gauge [2]int64
-			for key, e := range c.m {
-				r, ok := ref.m[key]
-				if !ok || r.size != e.size {
-					c.mu.Unlock()
-					t.Fatalf("seed %d op %d (%s): cache holds %q at %d bytes, scan model %v", seed, op, what, key, e.size, r)
-				}
-				gauge[e.kind()] += e.size
-				switch {
-				case e.owner != nil:
-					leaning++
-				case e.frame != nil && e.base == nil:
-					whole++
-				}
-			}
-			n := len(c.m)
-			c.mu.Unlock()
-			if n != len(ref.m) {
-				t.Fatalf("seed %d op %d (%s): cache holds %d entries, scan model %d", seed, op, what, n, len(ref.m))
-			}
-			entries, answers := c.stats()
-			baseEntries, baseWeight := c.baseStats()
-			if answers != gauge[0] || baseWeight != gauge[1] || entries+baseEntries != n {
-				t.Fatalf("seed %d op %d (%s): gauges (%d, %d, %d, %d) do not total the entries", seed, op, what, entries, answers, baseEntries, baseWeight)
-			}
-			if held := heldBytes(c); held > budget {
-				t.Fatalf("seed %d op %d (%s): cache holds %d bytes, over its %d budget", seed, op, what, held, budget)
-			}
-		}
+	// Stored after its base, the answer is still older than the base:
+	// the first eviction takes it.
+	c := newResultCache(budget)
+	c.putBase(baseKey, base, frame, nil)
+	c.putAnswer(answer, baseKey, make([]byte, 40))
+	c.put("d1", make([]byte, 50))
+	c.put("d2", make([]byte, 50))
+	if _, _, ok := c.getAnswer(answer); ok {
+		t.Error("storing d2 kept the answer, whose base was used after it")
 	}
-	if leaning == 0 || whole == 0 {
-		t.Errorf("the sequence held %d answers beside their base and %d without; want both", leaning, whole)
+	if got, _, _ := c.getBase(baseKey); got != base {
+		t.Error("storing d2 evicted the base before its answer")
+	}
+
+	// A hit refreshes the answer and then its base, so d1 goes first.
+	c = newResultCache(budget)
+	c.putBase(baseKey, base, frame, nil)
+	c.putAnswer(answer, baseKey, make([]byte, 40))
+	c.put("d1", make([]byte, 50))
+	if got, body, ok := c.getAnswer(answer); !ok || got != frame || len(body) != 40 {
+		t.Fatalf("answer: hit %v, frame %p (want %p), %d bytes (want 40)", ok, got, frame, len(body))
+	}
+	c.put("d2", make([]byte, 50))
+	if _, ok := c.get("d1"); ok {
+		t.Error("storing d2 kept d1, though the answer and its base were used after it")
+	}
+	if _, _, ok := c.getAnswer(answer); !ok {
+		t.Error("storing d2 evicted the answer or its base")
+	}
+
+	c = newResultCache(budget)
+	c.putAnswer(answer, baseKey, make([]byte, 40))
+	c.putBase(baseKey, base, frame, nil)
+	c.putAnswer("s\x001\x00b", baseKey, make([]byte, 101))
+	if n, _ := c.stats(); n != 0 {
+		t.Errorf("%d answers stored without their base or beyond it; want none", n)
+	}
+	if got, _, _ := c.getBase(baseKey); got != base {
+		t.Error("an answer too big to sit beside its base evicted the base")
 	}
 }
 
@@ -438,5 +294,64 @@ func TestCacheDisabledServesWholeDocuments(t *testing.T) {
 	}
 	if got := snap["query_base_builds_total"]; got != int64(len(docs)) {
 		t.Errorf("query_base_builds_total = %d, want %d (nothing memoized)", got, len(docs))
+	}
+}
+
+// TestQueryFrameFailure: an installed summary one of whose clusters
+// has an infinite squared sum (ingest and merge never write one, but an
+// install does not check) renders a non-finite box in the clusters
+// block, so every query's frame fails. A query with an unknown group
+// filter still answers its own 400 first, as when one pass rendered the
+// whole document, and the others answer the frame's error, WriteJSON's;
+// Phase II runs once for all of them, since the memo keeps the base
+// with its frame's error.
+func TestQueryFrameFailure(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	sum, err := summary.Decode(encodeShard(t, salaryCSV(t), ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := sum.Groups[0].Clusters[0]
+	for _, a := range sum.Groups[0].Clusters {
+		if a.N > big.N {
+			big = a
+		}
+	}
+	big.SS[big.Own] = math.Inf(1)
+	encoded, err := summary.Encode(sum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, version, err := srv.InstallSummary("inf", encoded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want := renderQuery(sum, core.DefaultQueryOptions())
+	if want == nil {
+		t.Fatal("the summary renders; want a non-finite clusters block")
+	}
+	for _, c := range []struct {
+		doc    string
+		status int
+		msg    string
+	}{
+		{`{"antecedentGroups":["Nope"]}`, http.StatusBadRequest, "unknown attribute group"},
+		{`{}`, http.StatusInternalServerError, want.Error()},
+		{`{"topK":1,"measures":true}`, http.StatusInternalServerError, want.Error()},
+		{`{"consequentGroups":["Nope"],"topK":1}`, http.StatusBadRequest, "unknown attribute group"},
+	} {
+		resp, body := postQuery(t, ts, "inf", c.doc)
+		if resp.StatusCode != c.status || !bytes.Contains(body, []byte(c.msg)) {
+			t.Errorf("%s: status %d, body %s; want %d naming %q", c.doc, resp.StatusCode, body, c.status, c.msg)
+		}
+	}
+	base, frame, err := srv.cache.getBase(baseCacheKey("inf", version, core.DefaultQueryOptions()))
+	if base == nil || frame != nil || err == nil || err.Error() != want.Error() {
+		t.Errorf("memo: base %p, frame %p, error %v; want the base and the frame's error", base, frame, err)
+	}
+	snap := scrape(t, ts)
+	if snap["query_base_builds_total"] != 1 || snap["query_base_reuses_total"] != 3 || snap["cache_entries"] != 0 {
+		t.Errorf("base builds %d, reuses %d, cached answers %d; want 1, 3 and 0",
+			snap["query_base_builds_total"], snap["query_base_reuses_total"], snap["cache_entries"])
 	}
 }

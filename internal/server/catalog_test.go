@@ -185,16 +185,16 @@ func TestResultCacheLRU(t *testing.T) {
 	c := newResultCache(10)
 	c.put("a", []byte("1234"))
 	c.put("b", []byte("5678"))
-	if _, _, ok := c.get("a"); !ok {
+	if _, ok := c.get("a"); !ok {
 		t.Fatal("a missing before budget pressure")
 	}
 	// 4+4 bytes held; adding 4 more must evict the LRU entry, which is
 	// b (a was just touched).
 	c.put("c", []byte("9abc"))
-	if _, _, ok := c.get("b"); ok {
+	if _, ok := c.get("b"); ok {
 		t.Error("b survived eviction though it was least recently used")
 	}
-	if _, _, ok := c.get("a"); !ok {
+	if _, ok := c.get("a"); !ok {
 		t.Error("a evicted though it was recently used")
 	}
 	if n, bytes := c.stats(); n != 2 || bytes != 8 {
@@ -202,7 +202,7 @@ func TestResultCacheLRU(t *testing.T) {
 	}
 	// Oversized bodies are refused outright.
 	c.put("huge", make([]byte, 11))
-	if _, _, ok := c.get("huge"); ok {
+	if _, ok := c.get("huge"); ok {
 		t.Error("body larger than the whole budget was cached")
 	}
 	// invalidate removes all versions of a name.
@@ -214,13 +214,13 @@ func TestResultCacheLRU(t *testing.T) {
 	if n, _ := c2.stats(); n != 1 {
 		t.Errorf("entries after invalidate = %d, want 1", n)
 	}
-	if _, _, ok := c2.get(cacheKey("other", 1, "q1")); !ok {
+	if _, ok := c2.get(cacheKey("other", 1, "q1")); !ok {
 		t.Error("invalidate of s removed another summary's entry")
 	}
 	// A disabled cache never stores.
 	off := newResultCache(0)
 	off.put("k", []byte("v"))
-	if _, _, ok := off.get("k"); ok {
+	if _, ok := off.get("k"); ok {
 		t.Error("disabled cache returned a hit")
 	}
 }

@@ -64,7 +64,7 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := diffCacheKey(oldName, oldVersion, newName, newVersion, q.CanonicalKey())
-	if _, cached, hit := s.cache.get(key); hit {
+	if cached, hit := s.cache.get(key); hit {
 		s.metrics.QueryCacheHits.Add(1)
 		s.metrics.QueryLatencyUsSum.Add(time.Since(start).Microseconds())
 		s.serveDiffResult(w, oldVersion, newVersion, "hit", cached)

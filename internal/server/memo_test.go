@@ -447,16 +447,17 @@ func TestOptionBodiesRejectTrailingData(t *testing.T) {
 // cache_bytes and cache_base_bytes count: every answer body and every
 // frame it stores has at most allocator rounding past its length (an
 // eighth, or one 8 KiB page), not the spare capacity of a buffer the
-// render grew into. It runs over the salary golden dataset and a
-// 20K-tuple WBCD summary, at topK 0 and 10: four answers over two
-// memoized bases.
+// render grew into. It runs over the salary golden dataset, the
+// kitchen-sink data and a 20K-tuple WBCD summary, at topK 0 and 10 and
+// with measures and a sweep: nine answers over three memoized bases.
 func TestCachedBodiesAreTight(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
 	postIngest(t, ts, "salary", "", salaryCSV(t))
+	postIngest(t, ts, "kitchen", "", kitchenCSV())
 	installWBCD20K(t, srv, "wbcd")
 
-	for _, name := range []string{"salary", "wbcd"} {
-		for _, doc := range []string{`{}`, `{"topK":10}`} {
+	for _, name := range []string{"salary", "kitchen", "wbcd"} {
+		for _, doc := range []string{`{}`, `{"topK":10}`, `{"measures":true,"sweepFactors":[0.5,1]}`} {
 			if resp, body := postQuery(t, ts, name, doc); resp.StatusCode != http.StatusOK {
 				t.Fatalf("%s %s: %d %s", name, doc, resp.StatusCode, body)
 			}
@@ -480,7 +481,7 @@ func TestCachedBodiesAreTight(t *testing.T) {
 		answers++
 		tight("answer body", key, len(e.body), cap(e.body))
 	}
-	if answers != 4 || frames != 2 {
-		t.Errorf("cache holds %d answers and %d frames, want 4 and 2", answers, frames)
+	if answers != 9 || frames != 3 {
+		t.Errorf("cache holds %d answers and %d frames, want 9 and 3", answers, frames)
 	}
 }

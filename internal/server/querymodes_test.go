@@ -283,19 +283,19 @@ func TestDiffCacheKeyNamespace(t *testing.T) {
 	c.put(dk, []byte("diff"))
 
 	c.invalidate("b") // new side of the diff: diff entry goes, query stays
-	if _, _, ok := c.get(dk); ok {
+	if _, ok := c.get(dk); ok {
 		t.Error("diff entry survived invalidation of its new side")
 	}
-	if _, _, ok := c.get(qk); !ok {
+	if _, ok := c.get(qk); !ok {
 		t.Error("query entry lost to an unrelated invalidation")
 	}
 
 	c.put(dk, []byte("diff"))
 	c.invalidate("a") // old side: both go
-	if _, _, ok := c.get(dk); ok {
+	if _, ok := c.get(dk); ok {
 		t.Error("diff entry survived invalidation of its old side")
 	}
-	if _, _, ok := c.get(qk); ok {
+	if _, ok := c.get(qk); ok {
 		t.Error("query entry survived invalidation of its summary")
 	}
 }

@@ -477,7 +477,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := cacheKey(name, version, q.CanonicalKey())
-	if frame, body, hit := s.cache.get(key); hit {
+	if frame, body, hit := s.cache.getAnswer(key); hit {
 		s.metrics.QueryCacheHits.Add(1)
 		s.metrics.QueryLatencyUsSum.Add(time.Since(start).Microseconds())
 		s.serveResult(w, version, "hit", frame, body)
@@ -554,7 +554,7 @@ func (s *Server) runQueryFlight(key, name string, q core.QueryOptions) (flightVa
 		if err != nil {
 			return flightValue{}, err
 		}
-		s.cache.putAnswer(cacheKey(name, v, q.CanonicalKey()), baseCacheKey(name, v, q), frame, body)
+		s.cache.putAnswer(cacheKey(name, v, q.CanonicalKey()), baseCacheKey(name, v, q), body)
 		return flightValue{frame: frame, body: body, version: v}, nil
 	})
 }
@@ -566,15 +566,16 @@ func (s *Server) runQueryFlight(key, name string, q core.QueryOptions) (flightVa
 // base build it once; the flight takes base and frame from the memo
 // when an earlier miss on that version built them, and otherwise builds
 // them — never under the cache mutex — and memoizes them. When only the
-// frame fails, it returns the base with the frame's error and memoizes
-// nothing, so that a mode's error answers first, as when one pass
-// rendered the whole document.
+// frame fails, it returns the base with the frame's error, and the memo
+// keeps both, so that a mode's error still answers first, as when one
+// pass rendered the whole document, and no later miss on the base runs
+// Phase II again.
 func (s *Server) queryBase(name string, v uint64, sum *summary.Summary, q core.QueryOptions) (*core.Result, *core.Frame, error) {
 	key := baseCacheKey(name, v, q)
 	built := false // set only when this caller's own flight built the base
 	val, _, err := s.flights.Do(key, func() (flightValue, error) {
-		if base, frame, ok := s.cache.getBase(key); ok {
-			return flightValue{base: base, frame: frame}, nil
+		if base, frame, err := s.cache.getBase(key); base != nil {
+			return flightValue{base: base, frame: frame}, err
 		}
 		if h := s.testHookBase.Load(); h != nil {
 			(*h)()
@@ -585,11 +586,8 @@ func (s *Server) queryBase(name string, v uint64, sum *summary.Summary, q core.Q
 		}
 		built = true
 		frame, err := renderFrame(sum, base)
-		if err != nil {
-			return flightValue{base: base}, err
-		}
-		s.cache.putBase(key, base, frame)
-		return flightValue{base: base, frame: frame}, nil
+		s.cache.putBase(key, base, frame, err)
+		return flightValue{base: base, frame: frame}, err
 	})
 	if val.base == nil {
 		return nil, nil, err
